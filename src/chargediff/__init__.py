@@ -9,9 +9,6 @@ from .diffusion import (
     init_state,
     is_active,
     step,
-    step_excess,
-    step_lazy_walk,
-    step_retention,
 )
 from .distsim import RoundStats, message_complexity_report, run_distributed
 from .engine import (
@@ -66,9 +63,6 @@ __all__ = [
     "run_query",
     "serialize_edge_list",
     "step",
-    "step_excess",
-    "step_lazy_walk",
-    "step_retention",
     "top_k",
     "validate_config",
 ]

@@ -70,6 +70,16 @@ class ChargeState:
     ever_active: set[int]
     seed: int
 
+    def advance(self, x: dict[int, float], epsilon: float) -> ChargeState:
+        """The state one round later, holding charge vector ``x``.
+
+        Nodes of ``x`` above ``epsilon`` join ``ever_active``. The set is
+        updated in place and shared with the returned state rather than
+        copied each round.
+        """
+        self.ever_active.update(i for i, xi in x.items() if xi > epsilon)
+        return ChargeState(x=x, t=self.t + 1, ever_active=self.ever_active, seed=self.seed)
+
 
 def is_active(x_i: float, cfg: DiffusionConfig) -> bool:
     """Strictly above-threshold charge makes a node active."""
@@ -113,7 +123,17 @@ def emitters(x: Mapping[int, float], g: Graph, cfg: DiffusionConfig) -> list[int
     return sorted(j for j, xj in x.items() if xj > eps and g.degrees[j] > 0)
 
 
-def _step(state: ChargeState, g: Graph, cfg: DiffusionConfig) -> ChargeState:
+def step(state: ChargeState, g: Graph, cfg: DiffusionConfig) -> ChargeState:
+    """One synchronous round of whichever variant the config selects.
+
+    RETENTION: an active node keeps (1-alpha) * x_i and distributes
+    alpha * x_i over its out-edges proportionally to weight (1/degree when
+    unweighted). EXCESS: an active node keeps epsilon plus (1-alpha) of its
+    excess (x_i - epsilon) and distributes alpha of the excess. LAZY_WALK:
+    the retention rule with alpha = 1/2 and epsilon = 0, where every node
+    counts as active. Inactive and stuck nodes keep everything. Receipts are
+    summed over senders in ascending id order.
+    """
     x = state.x
     sending = emitters(x, g, cfg)
     sending_set = set(sending)
@@ -134,51 +154,7 @@ def _step(state: ChargeState, g: Graph, cfg: DiffusionConfig) -> ChargeState:
         for amount in amounts:
             acc += amount
         new_x[i] = acc
-
-    eps = cfg.epsilon
-    ever = set(state.ever_active)
-    ever.update(i for i, xi in x.items() if xi > eps)
-    ever.update(i for i, xi in new_x.items() if xi > eps)
-    return ChargeState(x=new_x, t=state.t + 1, ever_active=ever, seed=state.seed)
-
-
-def step_retention(state: ChargeState, g: Graph, cfg: DiffusionConfig) -> ChargeState:
-    """One synchronous round of the keep-(1-alpha) rule.
-
-    An active node i keeps (1-alpha) * x_i and distributes alpha * x_i over
-    its out-edges proportionally to weight (1/degree when unweighted); an
-    inactive node keeps everything. Receipts are summed over senders in
-    ascending id order.
-    """
-    if cfg.variant is not Variant.RETENTION:
-        raise ValueError(f"step_retention called with variant {cfg.variant}")
-    return _step(state, g, cfg)
-
-
-def step_excess(state: ChargeState, g: Graph, cfg: DiffusionConfig) -> ChargeState:
-    """One synchronous round of the excess-shedding rule.
-
-    An active node keeps epsilon plus (1-alpha) of its excess (x - epsilon)
-    and distributes alpha of the excess over its out-edges; inactive and
-    stuck nodes keep everything.
-    """
-    if cfg.variant is not Variant.EXCESS:
-        raise ValueError(f"step_excess called with variant {cfg.variant}")
-    return _step(state, g, cfg)
-
-
-def step_lazy_walk(state: ChargeState, g: Graph) -> ChargeState:
-    """One lazy random-walk round: keep half, spread half over out-edges.
-
-    Equivalent to the retention rule with alpha = 1/2 and epsilon = 0, where
-    every node counts as active. Nodes without out-edges keep everything.
-    """
-    return _step(state, g, DiffusionConfig(variant=Variant.LAZY_WALK))
-
-
-def step(state: ChargeState, g: Graph, cfg: DiffusionConfig) -> ChargeState:
-    """One round of whichever variant the config selects."""
-    return _step(state, g, cfg)
+    return state.advance(new_x, cfg.epsilon)
 
 
 def excess_of(x: Mapping[int, float], epsilon: float) -> float:

@@ -4,10 +4,10 @@ Every node is an independent actor holding only its own charge and its
 out-edge list. A round has two phases: all transmitting nodes emit one
 message per out-edge (phase 1), then every node folds its inbox into its
 charge in ascending sender-id order (phase 2, behind a barrier). An
-omniscient coordinator applies the same stop predicate as the centralized
-engine before each round, so iteration counts and every float in the final
-charge vector match :func:`chargediff.engine.run_query` exactly, not just
-approximately.
+omniscient coordinator, the centralized engine's own run loop, applies the
+stop predicate before each round, so iteration counts and every float in the
+final charge vector match :func:`chargediff.engine.run_query` exactly, not
+just approximately.
 
 Real distributed termination detection is out of scope; the coordinator
 stands in for it so that message accounting stays faithful.
@@ -17,9 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .diffusion import DiffusionConfig, Variant, emitters, excess_of, retained_after_send, send_total
-from .engine import Bounds, QueryResult, build_result, should_stop, validate_config
+from .diffusion import ChargeState, DiffusionConfig, Variant, emitters, retained_after_send, send_total
+from .engine import Bounds, QueryResult, _run
 from .graph import Graph
+
+# Not called here since the run loop moved into the engine. The benchmark's
+# tracer wraps these names in this module (perfbench/run.py), so they stay.
+from .engine import build_result, should_stop  # noqa: F401
 
 
 @dataclass
@@ -82,83 +86,75 @@ def run_distributed(
     Returns the query result (identical to the centralized run, float for
     float) and per-round message statistics. A round that would emit zero
     messages is never run or recorded.
+
+    Actors exist only for nodes that hold charge or have mail waiting, so a
+    round costs O(emitters * degree + touched), independent of graph size.
+    LAZY_WALK is the exception: every node with out-edges transmits, so its
+    rounds cost O(n + arcs).
     """
-    validate_config(g, cfg)
-    if not 0 <= seed < g.node_count:
-        raise ValueError(f"seed {seed} out of range for graph with {g.node_count} nodes")
-
-    actors = [
-        NodeActor(
-            id=i,
-            charge=0.0,
-            targets=tuple(j for j, _ in g.adjacency[i]),
-            ratios=g.out_ratios[i],
-        )
-        for i in range(g.node_count)
-    ]
-    actors[seed].charge = 1.0
-    ever_active: set[int] = {seed}
+    actors: dict[int, NodeActor] = {}
     stats: list[RoundStats] = []
-    trace = None
-    if cfg.variant is Variant.EXCESS:
-        trace = [excess_of({seed: 1.0}, cfg.epsilon)]
 
-    terminated = False
-    rounds = 0
-    while True:
-        charges = {a.id: a.charge for a in actors if a.charge != 0.0}
-        if should_stop(charges, g, cfg):
-            terminated = True
-            break
-        if rounds >= cfg.max_iterations:
-            break
+    def actor(i: int) -> NodeActor:
+        a = actors.get(i)
+        if a is None:
+            a = actors[i] = NodeActor(
+                id=i, charge=0.0, targets=tuple(j for j, _ in g.adjacency[i]), ratios=g.out_ratios[i]
+            )
+        return a
+
+    def advance(state: ChargeState) -> ChargeState:
+        x = state.x
+        if state.t == 0:
+            # The query hands the seed its unit charge.
+            for i, xi in x.items():
+                actor(i).charge = xi
 
         # Phase 1: emissions, all computed from the round-start state.
-        sending = emitters(charges, g, cfg)
+        sending = emitters(x, g, cfg)
         sending_set = set(sending)
         messages = 0
         in_flight = 0.0
         for j in sending:
-            for target, message in actors[j].emit(cfg):
-                actors[target].inbox.append(message)
+            for target, message in actor(j).emit(cfg):
+                actor(target).inbox.append(message)
                 in_flight += message[1]
                 messages += 1
 
         if cfg.variant is Variant.LAZY_WALK:
             active_count = g.node_count
         else:
-            active_count = sum(1 for xi in charges.values() if xi > cfg.epsilon)
+            active_count = sum(1 for xi in x.values() if xi > cfg.epsilon)
 
         held = sum(
-            retained_after_send(a.charge, a.id in sending_set, cfg) for a in actors
+            retained_after_send(a.charge, i in sending_set, cfg) for i, a in actors.items()
         )
         if abs(held + in_flight - 1.0) > 1e-9:
             raise RuntimeError(
-                f"charge leak at round {rounds + 1}: held={held!r} in_flight={in_flight!r}"
+                f"charge leak at round {state.t + 1}: held={held!r} in_flight={in_flight!r}"
             )
 
-        # Phase 2: barrier, then order-fixed inbox folds.
-        ever_active.update(i for i, xi in charges.items() if xi > cfg.epsilon)
-        for a in actors:
-            a.fold_inbox(a.id in sending_set, cfg)
-        rounds += 1
-        ever_active.update(a.id for a in actors if a.charge > cfg.epsilon)
-        if trace is not None:
-            trace.append(
-                excess_of({a.id: a.charge for a in actors if a.charge != 0.0}, cfg.epsilon)
-            )
+        # Phase 2: barrier, then order-fixed inbox folds; actors left without
+        # charge retire.
+        new_x = {}
+        for i, a in list(actors.items()):
+            a.fold_inbox(i in sending_set, cfg)
+            if a.charge == 0.0:
+                del actors[i]
+            else:
+                new_x[i] = a.charge
         stats.append(
             RoundStats(
-                round_index=rounds,
+                round_index=state.t + 1,
                 messages_sent=messages,
                 active_count=active_count,
-                total_charge=sum(a.charge for a in actors),
+                # Ascending ids, so the float does not depend on actor creation order.
+                total_charge=sum(new_x[i] for i in sorted(new_x)),
             )
         )
+        return state.advance(new_x, cfg.epsilon)
 
-    final = {a.id: a.charge for a in actors if a.charge != 0.0}
-    result = build_result(final, ever_active, seed, rounds, terminated, trace)
-    return result, stats
+    return _run(g, seed, cfg, advance), stats
 
 
 def round_stats_table(stats: list[RoundStats]) -> str:

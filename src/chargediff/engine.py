@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .diffusion import (
+    ChargeState,
     DiffusionConfig,
     Variant,
     excess_of,
@@ -125,14 +126,19 @@ def should_stop(x: Mapping[int, float], g: Graph, cfg: DiffusionConfig) -> bool:
     below delta. LAZY_WALK never stops on its own; only the iteration cap
     ends it.
     """
+    excess = excess_of(x, cfg.epsilon) if cfg.variant is Variant.EXCESS else None
+    return _stops(x, g, cfg, excess)
+
+
+def _stops(x: Mapping[int, float], g: Graph, cfg: DiffusionConfig, excess: float | None) -> bool:
+    # ``excess`` is the total excess of ``x`` for the EXCESS variant, None
+    # otherwise; the run loop passes the value it traced for this round, so
+    # each round makes one sorted excess pass, not two.
     if cfg.variant is Variant.LAZY_WALK:
         return False
-    quiescent = not any(
-        xi > cfg.epsilon and g.degrees[i] > 0 for i, xi in x.items()
-    )
-    if cfg.variant is Variant.EXCESS:
-        return quiescent or excess_of(x, cfg.epsilon) < cfg.delta
-    return quiescent
+    if excess is not None and excess < cfg.delta:
+        return True
+    return not any(xi > cfg.epsilon and g.degrees[i] > 0 for i, xi in x.items())
 
 
 def build_result(
@@ -162,6 +168,31 @@ def build_result(
     )
 
 
+def _run(
+    g: Graph, seed: int, cfg: DiffusionConfig, advance: Callable[[ChargeState], ChargeState]
+) -> QueryResult:
+    """The run loop shared by :func:`run_query` and the message-passing simulator.
+
+    It validates the config, starts from unit charge on ``seed``, keeps the
+    excess trace, and before each round applies the stop predicate
+    (terminated=True) and then the iteration cap (terminated=False).
+    ``advance`` plays one round and returns the next state: :func:`step`
+    for the centralized engine, the actors' emit-and-fold round for the
+    simulator.
+    """
+    validate_config(g, cfg)
+    state = init_state(g, seed)
+    trace = [] if cfg.variant is Variant.EXCESS else None
+    while True:
+        if trace is not None:
+            trace.append(excess_total(state, cfg))
+        terminated = _stops(state.x, g, cfg, trace[-1] if trace else None)
+        if terminated or state.t >= cfg.max_iterations:
+            break
+        state = advance(state)
+    return build_result(state.x, state.ever_active, seed, state.t, terminated, trace)
+
+
 def run_query(g: Graph, seed: int, cfg: DiffusionConfig) -> QueryResult:
     """Drive the configured diffusion from ``seed`` until it stops.
 
@@ -169,20 +200,7 @@ def run_query(g: Graph, seed: int, cfg: DiffusionConfig) -> QueryResult:
     iteration cap is hit (terminated=False). The cap is a legitimate outcome,
     not an error: graphs with n <= 1/epsilon never terminate by design.
     """
-    validate_config(g, cfg)
-    state = init_state(g, seed)
-    trace = [excess_total(state, cfg)] if cfg.variant is Variant.EXCESS else None
-    terminated = False
-    while True:
-        if should_stop(state.x, g, cfg):
-            terminated = True
-            break
-        if state.t >= cfg.max_iterations:
-            break
-        state = step(state, g, cfg)
-        if trace is not None:
-            trace.append(excess_total(state, cfg))
-    return build_result(state.x, state.ever_active, seed, state.t, terminated, trace)
+    return _run(g, seed, cfg, lambda state: step(state, g, cfg))
 
 
 def top_k(result: QueryResult, k: int, include_seed: bool = False) -> list[int]:

@@ -35,7 +35,6 @@ class Graph:
     directed: bool
     adjacency: tuple[tuple[tuple[int, float], ...], ...]
     degrees: tuple[int, ...]
-    out_weights: tuple[float, ...]
     out_ratios: tuple[tuple[float, ...], ...]
 
     @property
@@ -111,20 +110,17 @@ def from_edges(
         row = sorted(arcs.get(i, ()))
         adjacency.append(tuple(row))
     degrees = tuple(len(row) for row in adjacency)
-    out_weights = tuple(
-        float(sum((Fraction(w) for _, w in row), Fraction(0))) for row in adjacency
-    )
     out_ratios = tuple(_ratio_row([w for _, w in row]) for row in adjacency)
-    return Graph(n, directed, tuple(adjacency), degrees, out_weights, out_ratios)
+    return Graph(n, directed, tuple(adjacency), degrees, out_ratios)
 
 
-def parse_edge_list(text: str, directed: bool = False) -> Graph:
-    """Parse edge-list text into a Graph.
+def _read_edges(text: str, directed: bool) -> tuple[list[tuple[int, int, float]], set[int]]:
+    """The ``(u, v, w)`` edges of edge-list text in file order, and the ids they use.
 
-    Node count is 1 + max node id, so id gaps become isolated nodes. Raises
-    EdgeListError with the offending line number on malformed input.
+    Raises EdgeListError with the offending line number on malformed input.
     """
     edges = []
+    ids: set[int] = set()
     seen: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -151,8 +147,18 @@ def parse_edge_list(text: str, directed: bool = False) -> Graph:
         if (u, v) in seen or (not directed and (v, u) in seen):
             raise EdgeListError(f"line {lineno}: duplicate edge ({u}, {v})")
         seen.add((u, v))
+        ids.update((u, v))
         edges.append((u, v, w))
-    return from_edges(edges, directed=directed)
+    return edges, ids
+
+
+def parse_edge_list(text: str, directed: bool = False) -> Graph:
+    """Parse edge-list text into a Graph.
+
+    Node count is 1 + max node id, so id gaps become isolated nodes. Raises
+    EdgeListError with the offending line number on malformed input.
+    """
+    return from_edges(_read_edges(text, directed)[0], directed=directed)
 
 
 def parse_edge_list_relabeled(text: str, directed: bool = False) -> tuple[Graph, list[int]]:
@@ -162,20 +168,12 @@ def parse_edge_list_relabeled(text: str, directed: bool = False) -> tuple[Graph,
     dense node ``i``. Labels are the distinct ids that appear in the file, in
     ascending order; for already-dense input this is the identity.
     """
-    probe = parse_edge_list(text, directed=directed)
-    used = sorted(
-        {i for i in range(probe.node_count) if probe.degrees[i] > 0}
-        | {j for i in range(probe.node_count) for j, _ in probe.adjacency[i]}
-    )
-    if used == list(range(probe.node_count)):
-        return probe, used
-    dense = {orig: idx for idx, orig in enumerate(used)}
-    edges = []
-    for i in range(probe.node_count):
-        for j, w in probe.adjacency[i]:
-            if probe.directed or i <= j:
-                edges.append((dense[i], dense[j], w))
-    return from_edges(edges, directed=directed, node_count=len(used)), used
+    edges, ids = _read_edges(text, directed)
+    labels = sorted(ids)
+    if labels and labels[-1] != len(labels) - 1:
+        dense = {orig: idx for idx, orig in enumerate(labels)}
+        edges = [(dense[u], dense[v], w) for u, v, w in edges]
+    return from_edges(edges, directed=directed, node_count=len(labels)), labels
 
 
 def load_edge_list(path: str, directed: bool = False) -> Graph:

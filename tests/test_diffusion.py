@@ -10,14 +10,12 @@ from chargediff.diffusion import (
     init_state,
     is_active,
     step,
-    step_excess,
-    step_lazy_walk,
-    step_retention,
 )
 from chargediff.generators import complete_graph, path_graph, star
 from chargediff.graph import from_edges
 
 CFG = DiffusionConfig(alpha=0.5, epsilon=0.1)
+LAZY = DiffusionConfig(variant=Variant.LAZY_WALK)
 
 
 def run_steps(g, seed, cfg, steps):
@@ -54,7 +52,7 @@ def test_is_active_is_strict():
 
 
 def test_retention_star_step_one():
-    state = step_retention(init_state(star(10), 0), star(10), CFG)
+    state = step(init_state(star(10), 0), star(10), CFG)
     assert state.x[0] == 0.5
     for leaf in range(1, 11):
         assert state.x[leaf] == pytest.approx(0.05, abs=1e-12)
@@ -79,7 +77,7 @@ def test_retention_triangle_two_steps_exact():
 def test_retention_fixed_point_when_nobody_active():
     g = path_graph(4)
     state = ChargeState(x={0: 0.05, 1: 0.1, 2: 0.02}, t=3, ever_active={0}, seed=0)
-    after = step_retention(state, g, CFG)
+    after = step(state, g, CFG)
     assert after.x == state.x
     assert after.t == 4
 
@@ -96,7 +94,7 @@ def test_retention_stuck_node_keeps_charge():
 def test_excess_star_step_one():
     g = star(10)
     cfg = DiffusionConfig(alpha=0.5, epsilon=0.1, variant=Variant.EXCESS, delta=0.01)
-    state = step_excess(init_state(g, 0), g, cfg)
+    state = step(init_state(g, 0), g, cfg)
     assert state.x[0] == pytest.approx(0.55, abs=1e-12)
     for leaf in range(1, 11):
         assert state.x[leaf] == pytest.approx(0.045, abs=1e-12)
@@ -108,7 +106,7 @@ def test_excess_star_geometric_decay_and_quiet_leaves():
     cfg = DiffusionConfig(alpha=0.5, epsilon=0.1, variant=Variant.EXCESS, delta=0.01)
     state = init_state(g, 0)
     for t in range(12):
-        state = step_excess(state, g, cfg)
+        state = step(state, g, cfg)
         ref = 0.9 * 0.5 ** (t + 1)
         assert excess_total(state, cfg) == pytest.approx(ref, rel=1e-13)
     # Leaves converge toward 0.09, never reaching the threshold.
@@ -120,7 +118,7 @@ def test_excess_fixed_point_when_nobody_active():
     g = path_graph(3)
     cfg = DiffusionConfig(alpha=0.5, epsilon=0.1, variant=Variant.EXCESS, delta=0.01)
     state = ChargeState(x={0: 0.1, 1: 0.08}, t=0, ever_active=set(), seed=0)
-    after = step_excess(state, g, cfg)
+    after = step(state, g, cfg)
     assert after.x == state.x
 
 
@@ -134,14 +132,14 @@ def test_excess_total_basics():
 
 def test_lazy_walk_triangle_one_step():
     g = complete_graph(3)
-    state = step_lazy_walk(init_state(g, 0), g)
+    state = step(init_state(g, 0), g, LAZY)
     assert state.x == {0: 0.5, 1: 0.25, 2: 0.25}
 
 
 def test_lazy_walk_uniform_is_stationary_on_regular_graph():
     g = from_edges([(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)])
     state = ChargeState(x={i: 0.25 for i in range(4)}, t=0, ever_active=set(), seed=0)
-    after = step_lazy_walk(state, g)
+    after = step(state, g, LAZY)
     assert after.x == {i: 0.25 for i in range(4)}
 
 
@@ -151,7 +149,7 @@ def test_lazy_walk_equals_retention_at_zero_epsilon():
     s_lazy = init_state(g, 2)
     s_ret = init_state(g, 2)
     for _ in range(25):
-        s_lazy = step_lazy_walk(s_lazy, g)
+        s_lazy = step(s_lazy, g, LAZY)
         s_ret = step(s_ret, g, zero_eps)
         assert s_lazy.x == s_ret.x
 
@@ -195,15 +193,6 @@ def test_lazy_config_is_forced():
     cfg = DiffusionConfig(alpha=0.9, epsilon=0.25, variant=Variant.LAZY_WALK)
     assert cfg.alpha == 0.5
     assert cfg.epsilon == 0.0
-
-
-def test_step_functions_check_variant():
-    g = path_graph(3)
-    state = init_state(g, 0)
-    with pytest.raises(ValueError, match="variant"):
-        step_retention(state, g, DiffusionConfig(variant=Variant.EXCESS))
-    with pytest.raises(ValueError, match="variant"):
-        step_excess(state, g, DiffusionConfig(variant=Variant.RETENTION))
 
 
 def test_excess_trace_monotone_on_path():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -107,6 +108,23 @@ def test_distributed_equals_centralized_on_random_graphs(variant, trial):
     assert distributed.nn_set == central.nn_set
     assert distributed.terminated == central.terminated
     assert distributed.excess_trace == central.excess_trace
+
+
+def test_round_cost_independent_of_graph_size():
+    # The star of STAR padded with 99,989 isolated nodes: actors exist only
+    # for charged nodes, so the run allocates as little as on the bare star.
+    g = from_edges([(0, i, 1.0) for i in range(1, 11)], node_count=100_000)
+    tracemalloc.start()
+    try:
+        result, stats = run_distributed(g, 0, STAR_CFG)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    star_result, star_stats = run_distributed(STAR, 0, STAR_CFG)
+    assert stats == star_stats
+    assert result == star_result
+    assert result == run_query(g, 0, STAR_CFG)
 
 
 def test_distinct_recipients_within_touched_bound():

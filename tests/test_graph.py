@@ -21,7 +21,6 @@ def test_parse_two_edge_path():
 def test_parse_weighted_directed_arc():
     g = parse_edge_list("0 1 2.5", directed=True)
     assert g.node_count == 2
-    assert g.out_weights == (2.5, 0.0)
     assert g.degrees == (1, 0)
 
 

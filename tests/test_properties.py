@@ -12,7 +12,6 @@ from chargediff.diffusion import (
     init_state,
     is_active,
     step,
-    step_lazy_walk,
 )
 from chargediff.distsim import run_distributed
 from chargediff.engine import run_query, should_stop
@@ -107,7 +106,7 @@ def test_zero_threshold_retention_is_lazy_walk(g, steps):
     lazy = init_state(g, 0)
     for _ in range(steps):
         ret = step(ret, g, cfg)
-        lazy = step_lazy_walk(lazy, g)
+        lazy = step(lazy, g, DiffusionConfig(variant=Variant.LAZY_WALK))
         assert ret.x == lazy.x
 
 
