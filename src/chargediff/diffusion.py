@@ -131,35 +131,41 @@ def step(state: ChargeState, g: Graph, cfg: DiffusionConfig) -> ChargeState:
     unweighted). EXCESS: an active node keeps epsilon plus (1-alpha) of its
     excess (x_i - epsilon) and distributes alpha of the excess. LAZY_WALK:
     the retention rule with alpha = 1/2 and epsilon = 0, where every node
-    counts as active. Inactive and stuck nodes keep everything. Receipts are
-    summed over senders in ascending id order.
+    counts as active. Inactive and stuck nodes keep everything.
+
+    The round is one pass over the pushed arcs. The new vector starts as a
+    copy of ``x`` with every sender's retained share written in (before any
+    receipt, since a sender can also receive); receipts then fold straight
+    into it, walking senders in ascending id order, so each receiver adds
+    its receipts to its retained charge (or to 0.0) in ascending sender
+    order.
     """
     x = state.x
-    sending = emitters(x, g, cfg)
-    sending_set = set(sending)
+    new_x = dict(x)
+    pushes = []
+    for j in emitters(x, g, cfg):
+        xj = x.get(j)
+        # A zero-charge LAZY_WALK sender keeps and sends nothing, and gets no key.
+        if xj is not None:
+            new_x[j] = retained_after_send(xj, True, cfg)
+            pushes.append((j, send_total(xj, cfg)))
 
-    inbox: dict[int, list[float]] = {}
-    for j in sending:
-        amount_total = send_total(x.get(j, 0.0), cfg)
-        targets = g.adjacency[j]
-        ratios = g.out_ratios[j]
-        for k in range(len(targets)):
-            amount = amount_total * ratios[k]
+    for j, amount_total in pushes:
+        for (t, _), ratio in zip(g.adjacency[j], g.out_ratios[j]):
+            amount = amount_total * ratio
             if amount != 0.0:
-                inbox.setdefault(targets[k][0], []).append(amount)
-
-    new_x = {i: retained_after_send(xi, i in sending_set, cfg) for i, xi in x.items()}
-    for i, amounts in inbox.items():
-        acc = new_x.get(i, 0.0)
-        for amount in amounts:
-            acc += amount
-        new_x[i] = acc
+                new_x[t] = new_x.get(t, 0.0) + amount
     return state.advance(new_x, cfg.epsilon)
 
 
 def excess_of(x: Mapping[int, float], epsilon: float) -> float:
-    """Total charge sitting strictly above the activity threshold."""
-    return sum(max(x[i] - epsilon, 0.0) for i in sorted(x))
+    """Total charge sitting strictly above the activity threshold.
+
+    Terms are summed in ascending id order. Nodes at or below the threshold
+    would add an exact +0.0, which leaves the sum unchanged, so they are
+    skipped.
+    """
+    return sum((x[i] - epsilon for i in sorted(x) if x[i] > epsilon), 0.0)
 
 
 def excess_total(state: ChargeState, cfg: DiffusionConfig) -> float:

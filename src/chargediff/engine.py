@@ -118,26 +118,25 @@ def validate_config(g: Graph, cfg: DiffusionConfig) -> list[str]:
     return warnings
 
 
-def should_stop(x: Mapping[int, float], g: Graph, cfg: DiffusionConfig) -> bool:
+def should_stop(
+    x: Mapping[int, float], g: Graph, cfg: DiffusionConfig, *, excess: float | None = None
+) -> bool:
     """Termination predicate evaluated on a round-start charge vector.
 
     RETENTION stops when no active node can transfer (stuck active nodes do
     not keep a run alive). EXCESS additionally stops once total excess falls
-    below delta. LAZY_WALK never stops on its own; only the iteration cap
+    below delta; ``excess`` is that total when the caller already has it
+    (the run loop passes the value it traced this round), otherwise it is
+    computed here. LAZY_WALK never stops on its own; only the iteration cap
     ends it.
     """
-    excess = excess_of(x, cfg.epsilon) if cfg.variant is Variant.EXCESS else None
-    return _stops(x, g, cfg, excess)
-
-
-def _stops(x: Mapping[int, float], g: Graph, cfg: DiffusionConfig, excess: float | None) -> bool:
-    # ``excess`` is the total excess of ``x`` for the EXCESS variant, None
-    # otherwise; the run loop passes the value it traced for this round, so
-    # each round makes one sorted excess pass, not two.
     if cfg.variant is Variant.LAZY_WALK:
         return False
-    if excess is not None and excess < cfg.delta:
-        return True
+    if cfg.variant is Variant.EXCESS:
+        if excess is None:
+            excess = excess_of(x, cfg.epsilon)
+        if excess < cfg.delta:
+            return True
     return not any(xi > cfg.epsilon and g.degrees[i] > 0 for i, xi in x.items())
 
 
@@ -186,7 +185,7 @@ def _run(
     while True:
         if trace is not None:
             trace.append(excess_total(state, cfg))
-        terminated = _stops(state.x, g, cfg, trace[-1] if trace else None)
+        terminated = should_stop(state.x, g, cfg, excess=trace[-1] if trace else None)
         if terminated or state.t >= cfg.max_iterations:
             break
         state = advance(state)

@@ -81,25 +81,17 @@ def from_edges(
     once). Duplicate (u, v) pairs and non-positive weights are errors. When
     ``node_count`` is omitted it defaults to 1 + max node id.
     """
-    arcs: dict[int, list[tuple[int, float]]] = {}
-    seen: set[tuple[int, int]] = set()
+    rows: dict[int, list[tuple[int, float]]] = {}
     max_id = -1
-
-    def add_arc(u: int, v: int, w: float) -> None:
-        if (u, v) in seen:
-            raise EdgeListError(f"duplicate edge ({u}, {v})")
-        seen.add((u, v))
-        arcs.setdefault(u, []).append((v, w))
-
     for u, v, w in edges:
         if u < 0 or v < 0:
             raise EdgeListError(f"negative node id in edge ({u}, {v})")
         if not (math.isfinite(w) and w > 0.0):
             raise EdgeListError(f"non-positive weight {w!r} on edge ({u}, {v})")
         max_id = max(max_id, u, v)
-        add_arc(u, v, w)
+        rows.setdefault(u, []).append((v, w))
         if not directed and u != v:
-            add_arc(v, u, w)
+            rows.setdefault(v, []).append((u, w))
 
     n = max_id + 1 if node_count is None else node_count
     if node_count is not None and max_id >= node_count:
@@ -107,7 +99,14 @@ def from_edges(
 
     adjacency = []
     for i in range(n):
-        row = sorted(arcs.get(i, ()))
+        row = sorted(rows.get(i, ()))
+        # Sorted by neighbor, so a repeated arc sits next to its twin; ids
+        # are non-negative, so -1 matches no first neighbor.
+        prev = -1
+        for v, _ in row:
+            if v == prev:
+                raise EdgeListError(f"duplicate edge ({i}, {v})")
+            prev = v
         adjacency.append(tuple(row))
     degrees = tuple(len(row) for row in adjacency)
     out_ratios = tuple(_ratio_row([w for _, w in row]) for row in adjacency)

@@ -42,7 +42,12 @@ def test_trace_targets_resolve_and_step_calls_match_rounds(bench):
     plain = engine.run_query(g, 5, cfg)
     with patched(tracer, targets):
         result = engine.run_query(g, 5, cfg)
+        calls = {label: t["calls"] for label, t in tracer.totals([-1]).items()}
         twin, _ = run_distributed(g, 5, cfg)
     assert result == plain == twin
     assert result.iterations > 1
-    assert tracer.totals([-1])["diffusion.step"]["calls"] == result.iterations
+    assert calls["diffusion.step"] == result.iterations
+    # The run loop checks the stop predicate and traces the excess before
+    # every round and once more before it stops.
+    assert calls["engine.should_stop"] == result.iterations + 1
+    assert calls["engine.excess_total"] == result.iterations + 1

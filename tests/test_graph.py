@@ -34,6 +34,21 @@ def test_reverse_duplicate_rejected_undirected():
         parse_edge_list("0 1\n1 0")
 
 
+def test_from_edges_rejects_reverse_duplicate_undirected():
+    with pytest.raises(EdgeListError, match="duplicate edge"):
+        from_edges([(0, 1, 1.0), (1, 0, 1.0)])
+
+
+def test_from_edges_rejects_repeated_self_loop():
+    with pytest.raises(EdgeListError, match=r"duplicate edge \(0, 0\)"):
+        from_edges([(0, 0, 1.0), (1, 0, 1.0), (0, 0, 2.0)])
+
+
+def test_from_edges_accepts_reverse_arcs_directed():
+    g = from_edges([(0, 1, 1.0), (1, 0, 2.0)], directed=True)
+    assert g.adjacency == (((1, 1.0),), ((0, 2.0),))
+
+
 def test_reverse_arcs_fine_directed():
     g = parse_edge_list("0 1\n1 0", directed=True)
     assert g.degrees == (1, 1)

@@ -8,9 +8,13 @@ from chargediff.diffusion import (
     ChargeState,
     DiffusionConfig,
     Variant,
+    emitters,
+    excess_of,
     excess_total,
     init_state,
     is_active,
+    retained_after_send,
+    send_total,
     step,
 )
 from chargediff.distsim import run_distributed
@@ -60,6 +64,72 @@ def test_conservation_and_nonnegativity(g, cfg, seed_frac, steps):
         total = sum(state.x.values())
         assert abs(total - 1.0) <= 1e-12
         assert all(v >= 0.0 for v in state.x.values())
+
+
+def reference_step(state: ChargeState, g, cfg: DiffusionConfig) -> ChargeState:
+    """The inbox-per-target round that ``step`` replaced, kept as its reference."""
+    x = state.x
+    sending = emitters(x, g, cfg)
+    sending_set = set(sending)
+
+    inbox: dict[int, list[float]] = {}
+    for j in sending:
+        amount_total = send_total(x.get(j, 0.0), cfg)
+        targets = g.adjacency[j]
+        ratios = g.out_ratios[j]
+        for k in range(len(targets)):
+            amount = amount_total * ratios[k]
+            if amount != 0.0:
+                inbox.setdefault(targets[k][0], []).append(amount)
+
+    new_x = {i: retained_after_send(xi, i in sending_set, cfg) for i, xi in x.items()}
+    for i, amounts in inbox.items():
+        acc = new_x.get(i, 0.0)
+        for amount in amounts:
+            acc += amount
+        new_x[i] = acc
+    return state.advance(new_x, cfg.epsilon)
+
+
+def bits(x):
+    return [(i, xi.hex()) for i, xi in x.items()]
+
+
+@given(
+    g=st.booleans().flatmap(lambda weighted: graphs(weighted=weighted)),
+    cfg=configs(),
+    seed_frac=st.floats(0, 0.999),
+    steps=st.integers(1, 12),
+)
+@settings(**SETTINGS)
+def test_step_matches_reference_round_bit_for_bit(g, cfg, seed_frac, steps):
+    seed = int(seed_frac * g.node_count)
+    state = init_state(g, seed)
+    ref = init_state(g, seed)
+    for _ in range(steps):
+        before = state.x
+        state = step(state, g, cfg)
+        ref = reference_step(ref, g, cfg)
+        # Same keys in the same order, same bits.
+        assert bits(state.x) == bits(ref.x)
+        assert state.ever_active == ref.ever_active
+        if cfg.variant is Variant.LAZY_WALK:
+            # Every node with out-edges sends; one without charge adds no key
+            # unless a charged sender pushes to it.
+            reached = {t for j, xj in before.items() if xj != 0.0 for t, _ in g.adjacency[j]}
+            assert set(state.x) <= set(before) | reached
+
+
+@given(
+    x=st.dictionaries(st.integers(0, 30), st.floats(0.0, 1.0), min_size=1, max_size=20),
+    epsilon=st.sampled_from([0.0, 0.01, 0.125, 0.5]) | st.floats(0.0, 0.5),
+)
+@settings(**SETTINGS)
+def test_excess_of_matches_max_form(x, epsilon):
+    # Charges equal to epsilon give exact zero terms in the max() form.
+    x = {**x, 31: epsilon}
+    expected = sum(max(x[i] - epsilon, 0.0) for i in sorted(x))
+    assert excess_of(x, epsilon).hex() == expected.hex()
 
 
 @given(g=graphs(weighted=True), directed=st.booleans())
