@@ -19,17 +19,10 @@ import argparse
 import json
 import sys
 
-from . import baselines
 from .diffusion import DiffusionConfig, Variant
 from .distsim import message_complexity_report, round_stats_table, run_distributed
 from .engine import ConfigError, compute_bounds, run_query, top_k, validate_config
 from .graph import EdgeListError, Graph, max_degree, parse_edge_list_relabeled
-
-_VARIANTS = {
-    "retention": Variant.RETENTION,
-    "excess": Variant.EXCESS,
-    "lazy": Variant.LAZY_WALK,
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -51,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--alpha", type=float, default=0.5)
         p.add_argument("--epsilon", type=float, default=0.01)
         p.add_argument("--delta", type=float, default=None, help="default epsilon/100")
-        p.add_argument("--variant", choices=sorted(_VARIANTS), default="retention")
+        p.add_argument("--variant", choices=sorted(v.value for v in Variant), default="retention")
         p.add_argument("--k", type=int, default=10)
         p.add_argument("--max-iters", type=int, default=1_000_000)
         p.add_argument("--include-seed", action="store_true")
@@ -77,7 +70,7 @@ def _make_config(args) -> DiffusionConfig:
     return DiffusionConfig(
         alpha=args.alpha,
         epsilon=args.epsilon,
-        variant=_VARIANTS[args.variant],
+        variant=Variant(args.variant),
         delta=delta,
         max_iterations=args.max_iters,
     )
@@ -88,6 +81,21 @@ def _dense_seed(args, labels: list[int]) -> int:
         return labels.index(args.seed)
     except ValueError:
         raise ConfigError(f"seed {args.seed} is not a node of {args.graph}") from None
+
+
+def _prepare_query(args) -> tuple[Graph, list[int], DiffusionConfig, int, list[str]]:
+    """Load, configure and validate for a seeded subcommand; print the warnings.
+
+    Errors surface in the CLI's order: unreadable or malformed graph (exit 2),
+    then unknown seed, then out-of-range config (exit 1).
+    """
+    graph, labels = _load_graph(args)
+    cfg = _make_config(args)
+    seed = _dense_seed(args, labels)
+    warnings = validate_config(graph, cfg)
+    for w in warnings:
+        print(f"warning: {w}", file=sys.stderr)
+    return graph, labels, cfg, seed, warnings
 
 
 def _config_echo(args, cfg: DiffusionConfig) -> dict:
@@ -124,12 +132,7 @@ def _echo_comments(echo: dict) -> list[str]:
 
 
 def _cmd_knn(args) -> int:
-    graph, labels = _load_graph(args)
-    cfg = _make_config(args)
-    seed = _dense_seed(args, labels)
-    warnings = validate_config(graph, cfg)
-    for w in warnings:
-        print(f"warning: {w}", file=sys.stderr)
+    graph, labels, cfg, seed, warnings = _prepare_query(args)
     result = run_query(graph, seed, cfg)
     if not result.terminated:
         print("warning: iteration cap reached without termination", file=sys.stderr)
@@ -164,12 +167,7 @@ def _cmd_knn(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    graph, labels = _load_graph(args)
-    cfg = _make_config(args)
-    seed = _dense_seed(args, labels)
-    warnings = validate_config(graph, cfg)
-    for w in warnings:
-        print(f"warning: {w}", file=sys.stderr)
+    graph, labels, cfg, seed, warnings = _prepare_query(args)
     result, stats = run_distributed(graph, seed, cfg)
     central = run_query(graph, seed, cfg)
     match = (
@@ -270,12 +268,10 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    graph, labels = _load_graph(args)
-    cfg = _make_config(args)
-    seed = _dense_seed(args, labels)
-    warnings = validate_config(graph, cfg)
-    for w in warnings:
-        print(f"warning: {w}", file=sys.stderr)
+    # Imported here because baselines needs numpy, which no other subcommand loads.
+    from . import baselines
+
+    graph, labels, cfg, seed, warnings = _prepare_query(args)
     result = run_query(graph, seed, cfg)
     diffusion_top = top_k(result, args.k, include_seed=args.include_seed)
 

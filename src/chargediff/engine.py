@@ -88,10 +88,8 @@ def validate_config(g: Graph, cfg: DiffusionConfig) -> list[str]:
     """
     if not 0.0 < cfg.alpha < 1.0:
         raise ConfigError(f"alpha must be in (0, 1), got {cfg.alpha}")
-    if cfg.variant is Variant.LAZY_WALK:
-        if cfg.epsilon != 0.0:
-            raise ConfigError("lazy walk requires epsilon = 0")
-    elif not 0.0 < cfg.epsilon < 1.0:
+    # DiffusionConfig pins a lazy walk's epsilon to 0, so only the other rules are checked.
+    if cfg.variant is not Variant.LAZY_WALK and not 0.0 < cfg.epsilon < 1.0:
         raise ConfigError(f"epsilon must be in (0, 1), got {cfg.epsilon}")
     if cfg.variant is Variant.EXCESS:
         if not 0.0 < cfg.delta < 1.0:

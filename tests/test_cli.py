@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,18 @@ from chargediff.cli import main
 
 STAR_TEXT = "\n".join(f"0 {i}" for i in range(1, 11)) + "\n"
 TRIANGLE_TEXT = "0 1\n1 2\n2 0\n"
+# Child processes import the package from this checkout, installed or not.
+CHILD_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+
+# Runs the package as ``python -m chargediff`` does, then reports on the last
+# stderr line whether numpy was imported along the way.
+CHILD = (
+    "import runpy, sys\n"
+    "try:\n"
+    "    runpy.run_module('chargediff', run_name='__main__', alter_sys=True)\n"
+    "finally:\n"
+    "    print(f'numpy loaded: {\"numpy\" in sys.modules}', file=sys.stderr)\n"
+)
 
 
 @pytest.fixture
@@ -238,7 +252,23 @@ def test_module_entry_point_runs(star_file):
     proc = subprocess.run(
         [sys.executable, "-m", "chargediff", "knn", "--graph", star_file,
          "--seed", "0", "--epsilon", "0.1", "--k", "3"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=CHILD_ENV,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["iterations"] == 4
+
+
+def run_child(*argv):
+    return subprocess.run(
+        [sys.executable, "-c", CHILD, *argv], capture_output=True, text=True, env=CHILD_ENV
+    )
+
+
+@pytest.mark.parametrize("command, numpy_loaded", [("knn", False), ("compare", True)])
+def test_child_process_matches_in_process(capsys, star_file, command, numpy_loaded):
+    argv = (command, "--graph", star_file, "--seed", "0", "--epsilon", "0.1", "--k", "3")
+    proc = run_child(*argv)
+    code, out, err = run_cli(capsys, *argv)
+    assert proc.returncode == code == 0
+    assert proc.stdout == out
+    assert proc.stderr == err + f"numpy loaded: {numpy_loaded}\n"
