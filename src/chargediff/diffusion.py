@@ -16,9 +16,9 @@ float for float.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping
+from typing import Callable
 
 from .graph import Graph
 
@@ -63,22 +63,51 @@ class ChargeState:
     ``ever_active`` accumulates every node that has satisfied the activity
     predicate at any observed iteration, including the current one; at the end
     of a run it is the nearest-neighbor candidate set.
+
+    ``frontier`` lists the ids whose charge is above epsilon, ascending: the
+    active nodes, at most 1/((1-alpha)*epsilon) of them. :func:`init_state`
+    and :meth:`advance` carry it from round to round, so no per-round reader
+    scans ``x``; a round costs O(pushed arcs + frontier log frontier) plus
+    the C-level ``dict(x)`` copy that keeps each state a snapshot. A state
+    built by hand leaves it unset and :meth:`active` derives it from ``x``
+    on first use.
     """
 
     x: dict[int, float]
     t: int
     ever_active: set[int]
     seed: int
+    frontier: list[int] | None = field(default=None, repr=False, compare=False)
 
-    def advance(self, x: dict[int, float], epsilon: float) -> ChargeState:
+    def active(self, epsilon: float) -> list[int]:
+        """Ids whose charge is above ``epsilon``, ascending.
+
+        Once set, the frontier answers for the epsilon it was built with, so
+        a state is read with the config it is stepped with.
+        """
+        if self.frontier is None:
+            self.frontier = sorted(i for i, xi in self.x.items() if xi > epsilon)
+        return self.frontier
+
+    def advance(self, x: dict[int, float], epsilon: float, risen: list[int]) -> ChargeState:
         """The state one round later, holding charge vector ``x``.
 
-        Nodes of ``x`` above ``epsilon`` join ``ever_active``. The set is
-        updated in place and shared with the returned state rather than
-        copied each round.
+        ``risen`` names the ids a receipt lifted above ``epsilon`` this
+        round; it may repeat ids or include ids of this state's frontier.
+        Every other id above ``epsilon`` in ``x`` was already above it here:
+        senders and stuck active nodes are on this frontier, and a node
+        that neither sends nor receives keeps its charge. So the next
+        frontier is this one, filtered against ``x``, plus ``risen``. Its
+        ids join ``ever_active``, which is updated in place and shared with
+        the returned state rather than copied each round.
         """
-        self.ever_active.update(i for i, xi in x.items() if xi > epsilon)
-        return ChargeState(x=x, t=self.t + 1, ever_active=self.ever_active, seed=self.seed)
+        frontier = [i for i in self.active(epsilon) if x.get(i, 0.0) > epsilon]
+        if risen:
+            frontier = sorted(set(frontier).union(risen))
+        self.ever_active.update(frontier)
+        return ChargeState(
+            x=x, t=self.t + 1, ever_active=self.ever_active, seed=self.seed, frontier=frontier
+        )
 
 
 def is_active(x_i: float, cfg: DiffusionConfig) -> bool:
@@ -91,36 +120,41 @@ def init_state(g: Graph, seed: int) -> ChargeState:
     if not 0 <= seed < g.node_count:
         raise ValueError(f"seed {seed} out of range for graph with {g.node_count} nodes")
     # Unit charge exceeds any valid epsilon < 1, so the seed starts active.
-    return ChargeState(x={seed: 1.0}, t=0, ever_active={seed}, seed=seed)
+    return ChargeState(x={seed: 1.0}, t=0, ever_active={seed}, seed=seed, frontier=[seed])
 
 
-def send_total(x_j: float, cfg: DiffusionConfig) -> float:
-    """Total charge an emitting node gives away this round."""
-    if cfg.variant is Variant.EXCESS:
-        return cfg.alpha * (x_j - cfg.epsilon)
-    return cfg.alpha * x_j
+def splitter(cfg: DiffusionConfig) -> Callable[[float], tuple[float, float]]:
+    """The variant's split of an emitting node's charge, as ``x -> (kept, sent)``.
+
+    RETENTION and LAZY_WALK: keep (1-alpha) * x and send alpha * x. EXCESS:
+    only the excess over epsilon is split, so keep epsilon + (1-alpha) *
+    (x - epsilon) and send alpha * (x - epsilon). The constants are fixed
+    once per config; for the first two rules the floor is 0.0, whose
+    subtraction and addition change no bit of a charge x >= 0. The
+    engine's round and the simulator's actors both split through this.
+    """
+    floor = cfg.epsilon if cfg.variant is Variant.EXCESS else 0.0
+    keep, give = 1.0 - cfg.alpha, cfg.alpha
+
+    def split(x: float) -> tuple[float, float]:
+        above = x - floor
+        return floor + keep * above, give * above
+
+    return split
 
 
-def retained_after_send(x_i: float, emits: bool, cfg: DiffusionConfig) -> float:
-    """Charge a node holds after phase 1; non-emitters keep everything."""
-    if not emits:
-        return x_i
-    if cfg.variant is Variant.EXCESS:
-        return cfg.epsilon + (1.0 - cfg.alpha) * (x_i - cfg.epsilon)
-    return (1.0 - cfg.alpha) * x_i
-
-
-def emitters(x: Mapping[int, float], g: Graph, cfg: DiffusionConfig) -> list[int]:
+def emitters(state: ChargeState, g: Graph, cfg: DiffusionConfig) -> list[int]:
     """Ids that transmit this round, ascending.
 
-    RETENTION and EXCESS: active nodes that have out-edges. A stuck active
-    node (no out-edges) holds its charge and sends nothing. LAZY_WALK: every
-    node with out-edges transmits, zero-charge nodes included.
+    RETENTION and EXCESS: the frontier's nodes that have out-edges, in
+    O(frontier). A stuck active node (no out-edges) holds its charge and
+    sends nothing. LAZY_WALK: every node with out-edges transmits,
+    zero-charge nodes included, so it costs O(n).
     """
     if cfg.variant is Variant.LAZY_WALK:
         return [j for j in range(g.node_count) if g.degrees[j] > 0]
-    eps = cfg.epsilon
-    return sorted(j for j, xj in x.items() if xj > eps and g.degrees[j] > 0)
+    degrees = g.degrees
+    return [j for j in state.active(cfg.epsilon) if degrees[j] > 0]
 
 
 def step(state: ChargeState, g: Graph, cfg: DiffusionConfig) -> ChargeState:
@@ -138,36 +172,40 @@ def step(state: ChargeState, g: Graph, cfg: DiffusionConfig) -> ChargeState:
     receipt, since a sender can also receive); receipts then fold straight
     into it, walking senders in ascending id order, so each receiver adds
     its receipts to its retained charge (or to 0.0) in ascending sender
-    order.
+    order. A receipt that lifts its receiver from at most epsilon to above
+    it records the receiver for the next frontier. Apart from the C-level
+    copy, the round costs O(pushed arcs + frontier log frontier).
     """
     x = state.x
+    eps = cfg.epsilon
+    split = splitter(cfg)
     new_x = dict(x)
     pushes = []
-    for j in emitters(x, g, cfg):
+    for j in emitters(state, g, cfg):
         xj = x.get(j)
         # A zero-charge LAZY_WALK sender keeps and sends nothing, and gets no key.
         if xj is not None:
-            new_x[j] = retained_after_send(xj, True, cfg)
-            pushes.append((j, send_total(xj, cfg)))
+            new_x[j], sent = split(xj)
+            pushes.append((j, sent))
 
+    risen = []
     for j, amount_total in pushes:
         for (t, _), ratio in zip(g.adjacency[j], g.out_ratios[j]):
             amount = amount_total * ratio
             if amount != 0.0:
-                new_x[t] = new_x.get(t, 0.0) + amount
-    return state.advance(new_x, cfg.epsilon)
-
-
-def excess_of(x: Mapping[int, float], epsilon: float) -> float:
-    """Total charge sitting strictly above the activity threshold.
-
-    Terms are summed in ascending id order. Nodes at or below the threshold
-    would add an exact +0.0, which leaves the sum unchanged, so they are
-    skipped.
-    """
-    return sum((x[i] - epsilon for i in sorted(x) if x[i] > epsilon), 0.0)
+                before = new_x.get(t, 0.0)
+                after = new_x[t] = before + amount
+                if after > eps >= before:
+                    risen.append(t)
+    return state.advance(new_x, eps, risen)
 
 
 def excess_total(state: ChargeState, cfg: DiffusionConfig) -> float:
-    """Sum of max(x_i - epsilon, 0) over the current state."""
-    return excess_of(state.x, cfg.epsilon)
+    """Sum of max(x_i - epsilon, 0) over the current state.
+
+    Terms are summed over the frontier, in ascending id order. Nodes at or
+    below the threshold would add an exact +0.0, which leaves the sum
+    unchanged, so they are skipped.
+    """
+    x, eps = state.x, cfg.epsilon
+    return sum([x[i] - eps for i in state.active(eps)], 0.0)

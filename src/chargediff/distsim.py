@@ -16,8 +16,9 @@ stands in for it so that message accounting stays faithful.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
-from .diffusion import ChargeState, DiffusionConfig, Variant, emitters, retained_after_send, send_total
+from .diffusion import ChargeState, DiffusionConfig, Variant, emitters, splitter
 from .engine import Bounds, QueryResult, _run
 from .graph import Graph
 
@@ -36,17 +37,24 @@ class NodeActor:
     ratios: tuple[float, ...]
     inbox: list[tuple[int, float]] = field(default_factory=list)
 
-    def emit(self, cfg: DiffusionConfig) -> list[tuple[int, tuple[int, float]]]:
-        """Messages (target, (sender, amount)) for this round, one per out-edge."""
-        total = send_total(self.charge, cfg)
+    def emit(self, split: Callable[[float], tuple[float, float]]) -> list[tuple[int, tuple[int, float]]]:
+        """Messages (target, (sender, amount)) for this round, one per out-edge.
+
+        ``split`` is what :func:`chargediff.diffusion.splitter` returns for the run's config.
+        """
+        _, total = split(self.charge)
         return [
             (self.targets[k], (self.id, total * self.ratios[k]))
             for k in range(len(self.targets))
         ]
 
-    def fold_inbox(self, emitted: bool, cfg: DiffusionConfig) -> None:
-        """Apply retention, then receipts sorted by sender id."""
-        acc = retained_after_send(self.charge, emitted, cfg)
+    def kept(self, emitted: bool, split: Callable[[float], tuple[float, float]]) -> float:
+        """Charge held after phase 1; non-emitters keep everything."""
+        return split(self.charge)[0] if emitted else self.charge
+
+    def fold_inbox(self, kept: float) -> None:
+        """Start from the kept charge, then add receipts sorted by sender id."""
+        acc = kept
         for _, amount in sorted(self.inbox):
             acc += amount
         self.charge = acc
@@ -103,6 +111,9 @@ def run_distributed(
             )
         return a
 
+    eps = cfg.epsilon
+    split = splitter(cfg)
+
     def advance(state: ChargeState) -> ChargeState:
         x = state.x
         if state.t == 0:
@@ -111,12 +122,12 @@ def run_distributed(
                 actor(i).charge = xi
 
         # Phase 1: emissions, all computed from the round-start state.
-        sending = emitters(x, g, cfg)
+        sending = emitters(state, g, cfg)
         sending_set = set(sending)
         messages = 0
         in_flight = 0.0
         for j in sending:
-            for target, message in actor(j).emit(cfg):
+            for target, message in actor(j).emit(split):
                 actor(target).inbox.append(message)
                 in_flight += message[1]
                 messages += 1
@@ -124,25 +135,27 @@ def run_distributed(
         if cfg.variant is Variant.LAZY_WALK:
             active_count = g.node_count
         else:
-            active_count = sum(1 for xi in x.values() if xi > cfg.epsilon)
+            active_count = len(state.active(eps))
 
-        held = sum(
-            retained_after_send(a.charge, i in sending_set, cfg) for i, a in actors.items()
-        )
+        held = sum(a.kept(i in sending_set, split) for i, a in actors.items())
         if abs(held + in_flight - 1.0) > 1e-9:
             raise RuntimeError(
                 f"charge leak at round {state.t + 1}: held={held!r} in_flight={in_flight!r}"
             )
 
         # Phase 2: barrier, then order-fixed inbox folds; actors left without
-        # charge retire.
+        # charge retire. Every actor above epsilon goes to ``advance``, which
+        # takes the next frontier from them and the round-start one.
         new_x = {}
+        above = []
         for i, a in list(actors.items()):
-            a.fold_inbox(i in sending_set, cfg)
+            a.fold_inbox(a.kept(i in sending_set, split))
             if a.charge == 0.0:
                 del actors[i]
             else:
                 new_x[i] = a.charge
+                if a.charge > eps:
+                    above.append(i)
         stats.append(
             RoundStats(
                 round_index=state.t + 1,
@@ -152,7 +165,7 @@ def run_distributed(
                 total_charge=sum(new_x[i] for i in sorted(new_x)),
             )
         )
-        return state.advance(new_x, cfg.epsilon)
+        return state.advance(new_x, eps, above)
 
     return _run(g, seed, cfg, advance), stats
 

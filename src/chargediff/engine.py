@@ -15,7 +15,6 @@ from .diffusion import (
     ChargeState,
     DiffusionConfig,
     Variant,
-    excess_of,
     excess_total,
     init_state,
     step,
@@ -117,25 +116,26 @@ def validate_config(g: Graph, cfg: DiffusionConfig) -> list[str]:
 
 
 def should_stop(
-    x: Mapping[int, float], g: Graph, cfg: DiffusionConfig, *, excess: float | None = None
+    state: ChargeState, g: Graph, cfg: DiffusionConfig, *, excess: float | None = None
 ) -> bool:
-    """Termination predicate evaluated on a round-start charge vector.
+    """Termination predicate evaluated on a round-start state.
 
     RETENTION stops when no active node can transfer (stuck active nodes do
-    not keep a run alive). EXCESS additionally stops once total excess falls
-    below delta; ``excess`` is that total when the caller already has it
-    (the run loop passes the value it traced this round), otherwise it is
-    computed here. LAZY_WALK never stops on its own; only the iteration cap
-    ends it.
+    not keep a run alive), which it reads off the state's frontier in
+    O(frontier). EXCESS additionally stops once total excess falls below
+    delta; ``excess`` is that total when the caller already has it (the run
+    loop passes the value it traced this round), otherwise it is computed
+    here. LAZY_WALK never stops on its own; only the iteration cap ends it.
     """
     if cfg.variant is Variant.LAZY_WALK:
         return False
     if cfg.variant is Variant.EXCESS:
         if excess is None:
-            excess = excess_of(x, cfg.epsilon)
+            excess = excess_total(state, cfg)
         if excess < cfg.delta:
             return True
-    return not any(xi > cfg.epsilon and g.degrees[i] > 0 for i, xi in x.items())
+    degrees = g.degrees
+    return not any(degrees[i] > 0 for i in state.active(cfg.epsilon))
 
 
 def build_result(
@@ -183,7 +183,7 @@ def _run(
     while True:
         if trace is not None:
             trace.append(excess_total(state, cfg))
-        terminated = should_stop(state.x, g, cfg, excess=trace[-1] if trace else None)
+        terminated = should_stop(state, g, cfg, excess=trace[-1] if trace else None)
         if terminated or state.t >= cfg.max_iterations:
             break
         state = advance(state)

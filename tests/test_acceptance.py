@@ -98,7 +98,7 @@ def _execute(g: Graph, seed: int, cfg: DiffusionConfig) -> RunRecord:
     floor_ok = True
     steps = 0
     while True:
-        if should_stop(state.x, g, cfg):
+        if should_stop(state, g, cfg):
             break
         if state.t >= cfg.max_iterations:
             break

@@ -134,8 +134,8 @@ def test_distinct_recipients_within_touched_bound():
     cfg = DiffusionConfig(alpha=0.5, epsilon=0.08)
     state = init_state(g, 1)
     recipients: set[int] = set()
-    while not should_stop(state.x, g, cfg) and state.t < 500:
-        for j in emitters(state.x, g, cfg):
+    while not should_stop(state, g, cfg) and state.t < 500:
+        for j in emitters(state, g, cfg):
             recipients.update(t for t, _ in g.adjacency[j])
         state = step(state, g, cfg)
     bounds = compute_bounds(g, cfg)
