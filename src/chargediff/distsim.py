@@ -16,7 +16,6 @@ stands in for it so that message accounting stays faithful.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 from .diffusion import ChargeState, DiffusionConfig, Variant, emitters, splitter
 from .engine import Bounds, QueryResult, _run
@@ -37,20 +36,17 @@ class NodeActor:
     ratios: tuple[float, ...]
     inbox: list[tuple[int, float]] = field(default_factory=list)
 
-    def emit(self, split: Callable[[float], tuple[float, float]]) -> list[tuple[int, tuple[int, float]]]:
+    def emit(self, sent: float) -> list[tuple[int, tuple[int, float]]]:
         """Messages (target, (sender, amount)) for this round, one per out-edge.
 
-        ``split`` is what :func:`chargediff.diffusion.splitter` returns for the run's config.
+        ``sent`` is the share of this node's charge that the run's
+        :func:`chargediff.diffusion.splitter` gives away; each out-edge
+        carries its out-ratio of it.
         """
-        _, total = split(self.charge)
         return [
-            (self.targets[k], (self.id, total * self.ratios[k]))
+            (self.targets[k], (self.id, sent * self.ratios[k]))
             for k in range(len(self.targets))
         ]
-
-    def kept(self, emitted: bool, split: Callable[[float], tuple[float, float]]) -> float:
-        """Charge held after phase 1; non-emitters keep everything."""
-        return split(self.charge)[0] if emitted else self.charge
 
     def fold_inbox(self, kept: float) -> None:
         """Start from the kept charge, then add receipts sorted by sender id."""
@@ -99,6 +95,11 @@ def run_distributed(
     round costs O(emitters * degree + touched), independent of graph size.
     LAZY_WALK is the exception: every node with out-edges transmits, so its
     rounds cost O(n + arcs).
+
+    A capped run whose charge vector repeats is cut short by the shared run
+    loop (see :func:`chargediff.engine._run`): the skipped rounds repeat
+    the stats of one period with shifted ``round_index``, so there is still
+    one entry per iteration and the stats equal those of playing every round.
     """
     actors: dict[int, NodeActor] = {}
     stats: list[RoundStats] = []
@@ -121,13 +122,15 @@ def run_distributed(
             for i, xi in x.items():
                 actor(i).charge = xi
 
-        # Phase 1: emissions, all computed from the round-start state.
-        sending = emitters(state, g, cfg)
-        sending_set = set(sending)
+        # Phase 1: emissions, all computed from the round-start state. Each
+        # sender's split is made once; ``kept`` holds what the senders keep.
+        kept: dict[int, float] = {}
         messages = 0
         in_flight = 0.0
-        for j in sending:
-            for target, message in actor(j).emit(split):
+        for j in emitters(state, g, cfg):
+            a = actor(j)
+            kept[j], sent = split(a.charge)
+            for target, message in a.emit(sent):
                 actor(target).inbox.append(message)
                 in_flight += message[1]
                 messages += 1
@@ -137,7 +140,7 @@ def run_distributed(
         else:
             active_count = len(state.active(eps))
 
-        held = sum(a.kept(i in sending_set, split) for i, a in actors.items())
+        held = sum(kept.get(i, a.charge) for i, a in actors.items())
         if abs(held + in_flight - 1.0) > 1e-9:
             raise RuntimeError(
                 f"charge leak at round {state.t + 1}: held={held!r} in_flight={in_flight!r}"
@@ -149,7 +152,7 @@ def run_distributed(
         new_x = {}
         above = []
         for i, a in list(actors.items()):
-            a.fold_inbox(a.kept(i in sending_set, split))
+            a.fold_inbox(kept.get(i, a.charge))
             if a.charge == 0.0:
                 del actors[i]
             else:
@@ -167,7 +170,19 @@ def run_distributed(
         )
         return state.advance(new_x, eps, above)
 
-    return _run(g, seed, cfg, advance), stats
+    def repeat(start: int, period: int, copies: int) -> None:
+        # The run loop skipped ``copies`` periods of a repeating charge
+        # vector. A round's stats depend only on its start vector, so the
+        # skipped rounds repeat ``stats[start:start + period]``, one period
+        # later each time.
+        cycle = stats[start:start + period]
+        stats.extend(
+            RoundStats(r.round_index + shift, r.messages_sent, r.active_count, r.total_charge)
+            for shift in range(period, (copies + 1) * period, period)
+            for r in cycle
+        )
+
+    return _run(g, seed, cfg, advance, repeat), stats
 
 
 def round_stats_table(stats: list[RoundStats]) -> str:

@@ -8,7 +8,7 @@ and iteration counts) that the invariant tests check every run against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping
 
 from .diffusion import (
@@ -166,7 +166,11 @@ def build_result(
 
 
 def _run(
-    g: Graph, seed: int, cfg: DiffusionConfig, advance: Callable[[ChargeState], ChargeState]
+    g: Graph,
+    seed: int,
+    cfg: DiffusionConfig,
+    advance: Callable[[ChargeState], ChargeState],
+    repeat: Callable[[int, int, int], None] | None = None,
 ) -> QueryResult:
     """The run loop shared by :func:`run_query` and the message-passing simulator.
 
@@ -176,10 +180,27 @@ def _run(
     ``advance`` plays one round and returns the next state: :func:`step`
     for the centralized engine, the actors' emit-and-fold round for the
     simulator.
+
+    A round's outcome depends only on the round-start charge vector ``x``
+    (the frontier is derived from it; ``ever_active`` never feeds back), so
+    once ``x`` repeats the run is periodic and can never stop. Brent's
+    cycle detection watches for that: one saved vector, replaced whenever
+    the distance to it reaches the next power of two, is compared with each
+    new one by dict ``==`` (bitwise, as charges are never negative or NaN;
+    usually settled by the lengths alone). On a hit at round t with period
+    lam, the loop skips the whole periods that fit under the cap, repeats
+    the excess trace of one period for each, and plays the fewer than lam
+    rounds left as usual. A periodic capped run thus costs its settling
+    rounds plus a period or two, and still reports the cap as its
+    ``iterations``. ``repeat(start, period, copies)`` is told of the skip,
+    so a caller keeping its own per-round records (indexed like the trace:
+    entry i for the round that starts at round i) can repeat
+    ``records[start:start + period]`` ``copies`` times.
     """
     validate_config(g, cfg)
     state = init_state(g, seed)
     trace = [] if cfg.variant is Variant.EXCESS else None
+    saved, saved_t, reach = state.x, 0, 1
     while True:
         if trace is not None:
             trace.append(excess_total(state, cfg))
@@ -187,6 +208,16 @@ def _run(
         if terminated or state.t >= cfg.max_iterations:
             break
         state = advance(state)
+        if state.x == saved:
+            period = state.t - saved_t
+            copies = (cfg.max_iterations - state.t) // period
+            if trace is not None:
+                trace.extend(trace[saved_t:state.t] * copies)
+            if repeat is not None:
+                repeat(saved_t, period, copies)
+            state = replace(state, t=state.t + copies * period)
+        elif state.t - saved_t == reach:
+            saved, saved_t, reach = state.x, state.t, 2 * reach
     return build_result(state.x, state.ever_active, seed, state.t, terminated, trace)
 
 
@@ -196,6 +227,9 @@ def run_query(g: Graph, seed: int, cfg: DiffusionConfig) -> QueryResult:
     Stops when :func:`should_stop` fires (terminated=True) or when the
     iteration cap is hit (terminated=False). The cap is a legitimate outcome,
     not an error: graphs with n <= 1/epsilon never terminate by design.
+    Such a run settles into a repeating charge vector, and the run loop
+    jumps over its repeats to the cap, so it costs the rounds to settle
+    plus about one period, not the cap.
     """
     return _run(g, seed, cfg, lambda state: step(state, g, cfg))
 

@@ -108,6 +108,22 @@ def test_knn_triangle_warns_and_reports_cap(capsys, triangle_file):
     assert "iteration cap" in err
 
 
+def test_knn_triangle_at_default_cap_in_child_process(capsys, triangle_file):
+    # The run repeats its charge vector within a few dozen rounds, and the
+    # run loop skips the repeats up to the cap of 1,000,000 rounds.
+    argv = ("knn", "--graph", triangle_file, "--seed", "0", "--variant", "retention")
+    proc = subprocess.run(
+        [sys.executable, "-m", "chargediff", *argv],
+        capture_output=True, text=True, env=CHILD_ENV, timeout=60,
+    )
+    code, out, err = run_cli(capsys, *argv)
+    assert proc.returncode == code == 0
+    assert '"iterations": 1000000' in proc.stdout
+    assert '"terminated": false' in proc.stdout
+    assert proc.stdout == out
+    assert proc.stderr == err
+
+
 def test_knn_output_is_deterministic(capsys, star_file):
     args = ("knn", "--graph", star_file, "--seed", "0", "--epsilon", "0.1", "--k", "5")
     _, first, _ = run_cli(capsys, *args)
