@@ -24,7 +24,7 @@ def _guard(g: Graph) -> None:
 def _weight_matrix(g: Graph) -> np.ndarray:
     a = np.zeros((g.node_count, g.node_count))
     for i in range(g.node_count):
-        for j, w in g.adjacency[i]:
+        for j, w in zip(g.targets[i], g.weights[i]):
             a[i, j] = w
     return a
 

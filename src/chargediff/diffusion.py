@@ -190,7 +190,7 @@ def step(state: ChargeState, g: Graph, cfg: DiffusionConfig) -> ChargeState:
 
     risen = []
     for j, amount_total in pushes:
-        for (t, _), ratio in zip(g.adjacency[j], g.out_ratios[j]):
+        for t, ratio in zip(g.targets[j], g.out_ratios[j]):
             amount = amount_total * ratio
             if amount != 0.0:
                 before = new_x.get(t, 0.0)

@@ -107,9 +107,7 @@ def run_distributed(
     def actor(i: int) -> NodeActor:
         a = actors.get(i)
         if a is None:
-            a = actors[i] = NodeActor(
-                id=i, charge=0.0, targets=tuple(j for j, _ in g.adjacency[i]), ratios=g.out_ratios[i]
-            )
+            a = actors[i] = NodeActor(id=i, charge=0.0, targets=g.targets[i], ratios=g.out_ratios[i])
         return a
 
     eps = cfg.epsilon

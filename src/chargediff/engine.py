@@ -287,7 +287,7 @@ def halo_of(g: Graph, nodes: set[int]) -> set[int]:
     """Out-neighbors of ``nodes`` that are not themselves members."""
     halo: set[int] = set()
     for i in nodes:
-        for j, _ in g.adjacency[i]:
+        for j in g.targets[i]:
             if j not in nodes:
                 halo.add(j)
     return halo
@@ -301,7 +301,7 @@ def nn_subgraph_connected(g: Graph, result: QueryResult) -> bool:
     nodes = set(result.nn_set) | {result.seed}
     undirected: dict[int, set[int]] = {i: set() for i in nodes}
     for i in nodes:
-        for j, _ in g.adjacency[i]:
+        for j in g.targets[i]:
             if j in nodes:
                 undirected[i].add(j)
                 undirected[j].add(i)

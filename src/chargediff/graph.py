@@ -1,15 +1,21 @@
-"""Immutable adjacency-list graphs loaded from edge-list text.
+"""Immutable graphs of flat per-node rows, loaded from edge-list text.
 
 The edge-list format is one edge per line, ``u v`` or ``u v w``, with
 whitespace separation. Lines starting with ``#`` are comments. Node ids are
 non-negative integers; weights are positive decimals (unweighted edges store
 weight 1.0). Undirected input materializes both arc directions; a self-loop
 is stored once and contributes 1 to the node's degree.
+
+Large clean texts are parsed in bulk with numpy, which is imported for them
+only; small texts, and every text the bulk parse does not accept, go through
+a line loop that reports the offending line. Both build equal graphs.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -21,21 +27,24 @@ class EdgeListError(ValueError):
 
 @dataclass(frozen=True)
 class Graph:
-    """Adjacency-list graph, immutable after construction.
+    """Graph of flat per-node rows, immutable after construction.
 
-    ``adjacency[i]`` is the tuple of ``(neighbor, weight)`` out-edges of node
-    ``i``, sorted ascending by neighbor id. ``out_ratios[i][k]`` caches the
-    share of node ``i``'s total out-weight carried by its k-th out-edge,
-    rounded once from the exact rational w / sum(w). Precomputing the ratio
-    this way keeps trajectories identical when all weights are rescaled by a
-    common factor that the floats represent exactly.
+    ``targets[i]`` is the tuple of node ``i``'s out-neighbor ids, ascending.
+    ``out_ratios[i][k]`` is the share of node ``i``'s total out-weight carried
+    by its arc to ``targets[i][k]``, rounded once from the exact rational
+    w / sum(w). Precomputing the ratio this way keeps trajectories identical
+    when all weights are rescaled by a common factor that the floats
+    represent exactly. ``weights[i][k]`` is that arc's weight as given; only
+    serialization and the dense baselines read it. ``degrees[i]`` is
+    ``len(targets[i])``.
     """
 
     node_count: int
     directed: bool
-    adjacency: tuple[tuple[tuple[int, float], ...], ...]
-    degrees: tuple[int, ...]
+    targets: tuple[tuple[int, ...], ...]
     out_ratios: tuple[tuple[float, ...], ...]
+    weights: tuple[tuple[float, ...], ...]
+    degrees: tuple[int, ...]
 
     @property
     def arc_count(self) -> int:
@@ -53,11 +62,12 @@ class Graph:
         return (
             self.node_count == other.node_count
             and self.directed == other.directed
-            and self.adjacency == other.adjacency
+            and self.targets == other.targets
+            and self.weights == other.weights
         )
 
     def __hash__(self) -> int:
-        return hash((self.node_count, self.directed, self.adjacency))
+        return hash((self.node_count, self.directed, self.targets, self.weights))
 
 
 def _ratio_row(weights: Sequence[float]) -> tuple[float, ...]:
@@ -97,20 +107,18 @@ def from_edges(
     if node_count is not None and max_id >= node_count:
         raise EdgeListError(f"edge endpoint {max_id} out of range for n={node_count}")
 
-    adjacency = []
+    targets = []
+    weights = []
     for i in range(n):
-        row = sorted(rows.get(i, ()))
-        # Sorted by neighbor, so a repeated arc sits next to its twin; ids
-        # are non-negative, so -1 matches no first neighbor.
-        prev = -1
-        for v, _ in row:
-            if v == prev:
-                raise EdgeListError(f"duplicate edge ({i}, {v})")
-            prev = v
-        adjacency.append(tuple(row))
-    degrees = tuple(len(row) for row in adjacency)
-    out_ratios = tuple(_ratio_row([w for _, w in row]) for row in adjacency)
-    return Graph(n, directed, tuple(adjacency), degrees, out_ratios)
+        row_targets, row_weights = zip(*sorted(rows[i])) if i in rows else ((), ())
+        if len(set(row_targets)) < len(row_targets):
+            # Sorted by neighbor, so a repeated arc sits next to its twin.
+            v = next(a for a, b in zip(row_targets, row_targets[1:]) if a == b)
+            raise EdgeListError(f"duplicate edge ({i}, {v})")
+        targets.append(row_targets)
+        weights.append(row_weights)
+    out_ratios = tuple(map(_ratio_row, weights))
+    return Graph(n, directed, tuple(targets), out_ratios, tuple(weights), tuple(map(len, targets)))
 
 
 def _read_edges(text: str, directed: bool) -> tuple[list[tuple[int, int, float]], set[int]]:
@@ -151,12 +159,159 @@ def _read_edges(text: str, directed: bool) -> tuple[list[tuple[int, int, float]]
     return edges, ids
 
 
+# Texts shorter than this go to the line loop. Below it, importing numpy
+# costs more than the bulk parse saves, and knn/simulate on small files start
+# without numpy.
+_BULK_MIN_CHARS = 1 << 17
+
+
+def _bulk_arcs(text: str, directed: bool, relabel: bool):
+    """Bulk-parse clean edge-list text into sorted arcs; None unless the text is large and clean.
+
+    Returns ``(labels, degrees, targets, weights)`` as numpy arrays.
+    ``labels`` holds the distinct ids in ascending order. ``targets`` and
+    ``weights`` (None for 2-token lines) list every arc sorted by source,
+    then target; ``degrees`` counts the arcs of each source. With
+    ``relabel`` node ``i`` is ``labels[i]``; without it nodes keep the
+    file's ids, and id gaps become isolated nodes.
+
+    Clean text is ASCII with no ``#``, and has ``\r`` only before ``\n``.
+    Every non-blank line has the same count of tokens, 2 or 3. Ids are
+    digit strings below 2**53. No edge repeats, and weights are finite and
+    positive. Any other text is left to
+    the line loop, which raises its line-numbered errors.
+    """
+    if (
+        len(text) < _BULK_MIN_CHARS
+        or "#" in text
+        or not text.isascii()
+        or text.count("\r") != text.count("\r\n")
+    ):
+        return None
+    import numpy as np
+
+    # Byte classes: 0 blank, 1 newline, 2 digit, 3 other weight character,
+    # 4 anything else.
+    table = np.full(256, 4, dtype=np.uint8)
+    table[list(b" \t\r")] = 0
+    table[ord("\n")] = 1
+    table[list(b"0123456789")] = 2
+    table[list(b".eE+-")] = 3
+    classes = table[np.frombuffer(text.encode("ascii"), dtype=np.uint8)]
+    if (classes == 4).any():
+        return None
+    in_token = classes >= 2
+    starts = np.flatnonzero(in_token & np.diff(in_token, prepend=False))
+    line_of = np.searchsorted(np.flatnonzero(classes == 1), starts)
+    width = int(np.searchsorted(line_of, line_of[0], side="right")) if starts.size else 0
+    if width not in (2, 3) or starts.size % width:
+        return None
+    # Each row of `width` tokens lies on one line, below the row before it.
+    rows = line_of.reshape(-1, width)
+    if (rows[:, -1] != rows[:, 0]).any() or (rows[1:, 0] <= rows[:-1, 0]).any():
+        return None
+    # Only the weight column may hold '.', 'e', 'E', '+' or '-'.
+    token_of = np.searchsorted(starts, np.flatnonzero(classes == 3), side="right") - 1
+    if (token_of % width != 2).any():
+        return None
+    del classes, in_token, line_of, rows, token_of
+
+    with warnings.catch_warnings():
+        # Older numpy warns, rather than raises, when a token is not one number.
+        warnings.filterwarnings("error", "string or file could not be read to its end", DeprecationWarning)
+        try:
+            values = np.fromstring(text, dtype=np.float64 if width == 3 else np.int64, sep=" ")
+        except (ValueError, DeprecationWarning):
+            return None
+    # One number per token, or the rows below would misalign.
+    if values.size != starts.size:
+        return None
+    values = values.reshape(-1, width)
+    # Below 2**53 a float64 holds every id exactly; an int64 parse saturates
+    # above its range instead of failing.
+    if values[:, :2].max() >= 2**53:
+        return None
+    weights = None
+    if width == 3:
+        weights = values[:, 2]
+        if not (np.isfinite(weights) & (weights > 0.0)).all():
+            return None
+    ids = values[:, :2].astype(np.int64).ravel()
+    del values
+
+    top = int(ids.max())
+    if top < 2 * ids.size:
+        # Dense enough that a table over every id is at most twice the ids.
+        present = np.bincount(ids) > 0
+        labels = np.flatnonzero(present)
+        if labels.size != top + 1:
+            ids = (np.cumsum(present) - 1)[ids]
+    else:
+        labels, ids = np.unique(ids, return_inverse=True)
+    n = labels.size
+
+    src, dst = ids[0::2], ids[1::2]
+    if not directed:
+        mirror = src != dst
+        src, dst = np.concatenate((src, dst[mirror])), np.concatenate((dst, src[mirror]))
+        if weights is not None:
+            weights = np.concatenate((weights, weights[mirror]))
+    keys = src * n + dst
+    if weights is None:
+        keys.sort()
+    else:
+        order = np.argsort(keys)
+        keys, weights = keys[order], weights[order]
+    # A repeated edge, or an undirected edge listed both ways, repeats an arc.
+    if (keys[1:] == keys[:-1]).any():
+        return None
+    degrees = np.bincount(keys // n, minlength=n)
+    targets = keys % n
+    if not relabel and n != top + 1:
+        # Back to the file's ids, where id gaps are isolated nodes.
+        compact, degrees = degrees, np.zeros(top + 1, dtype=degrees.dtype)
+        degrees[labels] = compact
+        targets = labels[targets]
+    return labels, degrees, targets, weights
+
+
+def _bulk_parse(text: str, directed: bool, relabel: bool) -> tuple[Graph, list[int]] | None:
+    """``(graph, labels)`` of large clean text, built from :func:`_bulk_arcs`; else None."""
+    arcs = _bulk_arcs(text, directed, relabel)
+    if arcs is None:
+        return None
+    labels, degrees, targets, weights = arcs
+    degree_list = degrees.tolist()
+    target_rows = _split_rows(targets.tolist(), degree_list)
+    if weights is None:
+        # Unweighted rows of one degree share their weight and ratio tuples.
+        shared = {d: ((1.0,) * d, _ratio_row((1.0,) * d)) for d in set(degree_list)}
+        weight_rows = [shared[d][0] for d in degree_list]
+        ratio_rows = [shared[d][1] for d in degree_list]
+    else:
+        weight_rows = _split_rows(weights.tolist(), degree_list)
+        ratio_rows = list(map(_ratio_row, weight_rows))
+    g = Graph(
+        len(degree_list), directed, tuple(target_rows), tuple(ratio_rows), tuple(weight_rows), tuple(degree_list)
+    )
+    return g, labels.tolist()
+
+
+def _split_rows(flat: list, lengths: list[int]) -> list[tuple]:
+    """Consecutive slices of ``flat`` with the given lengths, as tuples."""
+    flat = tuple(flat)
+    return [flat[end - d : end] for d, end in zip(lengths, itertools.accumulate(lengths))]
+
+
 def parse_edge_list(text: str, directed: bool = False) -> Graph:
     """Parse edge-list text into a Graph.
 
     Node count is 1 + max node id, so id gaps become isolated nodes. Raises
     EdgeListError with the offending line number on malformed input.
     """
+    bulk = _bulk_parse(text, directed, relabel=False)
+    if bulk is not None:
+        return bulk[0]
     return from_edges(_read_edges(text, directed)[0], directed=directed)
 
 
@@ -167,17 +322,15 @@ def parse_edge_list_relabeled(text: str, directed: bool = False) -> tuple[Graph,
     dense node ``i``. Labels are the distinct ids that appear in the file, in
     ascending order; for already-dense input this is the identity.
     """
+    bulk = _bulk_parse(text, directed, relabel=True)
+    if bulk is not None:
+        return bulk
     edges, ids = _read_edges(text, directed)
     labels = sorted(ids)
     if labels and labels[-1] != len(labels) - 1:
         dense = {orig: idx for idx, orig in enumerate(labels)}
         edges = [(dense[u], dense[v], w) for u, v, w in edges]
     return from_edges(edges, directed=directed, node_count=len(labels)), labels
-
-
-def load_edge_list(path: str, directed: bool = False) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh.read(), directed=directed)
 
 
 def serialize_edge_list(g: Graph) -> str:
@@ -189,7 +342,7 @@ def serialize_edge_list(g: Graph) -> str:
     """
     lines = []
     for i in range(g.node_count):
-        for j, w in g.adjacency[i]:
+        for j, w in zip(g.targets[i], g.weights[i]):
             if not g.directed and j < i:
                 continue
             lines.append(f"{i} {j}" if w == 1.0 else f"{i} {j} {w!r}")

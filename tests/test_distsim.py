@@ -136,7 +136,7 @@ def test_distinct_recipients_within_touched_bound():
     recipients: set[int] = set()
     while not should_stop(state, g, cfg) and state.t < 500:
         for j in emitters(state, g, cfg):
-            recipients.update(t for t, _ in g.adjacency[j])
+            recipients.update(g.targets[j])
         state = step(state, g, cfg)
     bounds = compute_bounds(g, cfg)
     assert len(recipients) <= bounds.max_touched

@@ -14,7 +14,8 @@ def test_parse_two_edge_path():
     g = parse_edge_list("0 1\n1 2")
     assert g.node_count == 3
     assert g.degrees == (1, 2, 1)
-    assert g.adjacency[1] == ((0, 1.0), (2, 1.0))
+    assert g.targets[1] == (0, 2)
+    assert g.weights[1] == (1.0, 1.0)
     assert not g.directed
 
 
@@ -22,6 +23,7 @@ def test_parse_weighted_directed_arc():
     g = parse_edge_list("0 1 2.5", directed=True)
     assert g.node_count == 2
     assert g.degrees == (1, 0)
+    assert g.weights == ((2.5,), ())
 
 
 def test_duplicate_edge_rejected():
@@ -46,7 +48,8 @@ def test_from_edges_rejects_repeated_self_loop():
 
 def test_from_edges_accepts_reverse_arcs_directed():
     g = from_edges([(0, 1, 1.0), (1, 0, 2.0)], directed=True)
-    assert g.adjacency == (((1, 1.0),), ((0, 2.0),))
+    assert g.targets == ((1,), (0,))
+    assert g.weights == ((1.0,), (2.0,))
 
 
 def test_reverse_arcs_fine_directed():
@@ -86,7 +89,8 @@ def test_comments_and_blank_lines_skipped():
 def test_self_loop_counts_once_in_degree():
     g = parse_edge_list("0 0\n0 1")
     assert g.degrees[0] == 2
-    assert g.adjacency[0] == ((0, 1.0), (1, 1.0))
+    assert g.targets[0] == (0, 1)
+    assert g.weights[0] == (1.0, 1.0)
     assert g.degrees[1] == 1
 
 
@@ -98,7 +102,7 @@ def test_id_gaps_become_isolated_nodes():
 
 def test_neighbor_lists_sorted():
     g = parse_edge_list("3 1\n3 0\n3 2")
-    assert [j for j, _ in g.adjacency[3]] == [0, 1, 2]
+    assert g.targets[3] == (0, 1, 2)
 
 
 def test_degree_sum_is_twice_edge_count():
