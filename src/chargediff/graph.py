@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -159,10 +158,48 @@ def _read_edges(text: str, directed: bool) -> tuple[list[tuple[int, int, float]]
     return edges, ids
 
 
-# Texts shorter than this go to the line loop. Below it, importing numpy
-# costs more than the bulk parse saves, and knn/simulate on small files start
-# without numpy.
-_BULK_MIN_CHARS = 1 << 17
+# Texts of fewer lines go to the line loop, so knn/simulate on small files
+# start without numpy. In a fresh knn process the numpy import costs about
+# 0.18 s, which the bulk parse wins back near 28k-36k lines, whether the ids
+# have 4 digits or 10; a character count shifts by 2x between the two.
+# Measured by scripts/bulk_threshold.py (Python 3.11, numpy 2.4, 2-core VM).
+_BULK_MIN_LINES = 1 << 15
+
+
+# Byte classes of the bulk parse, ordered so that token bytes are _DIGIT and
+# above, and the bytes of a decimal after its digits come in rank order.
+_BLANK, _NEWLINE, _DIGIT, _SIGN, _POINT, _MARK, _OTHER = range(7)
+
+
+def _decimals_only(classes, at, token_of) -> bool:
+    """Whether the sign, point and mark bytes at ``at`` leave each token one decimal.
+
+    ``classes`` holds the byte classes of the text, and ``token_of`` the
+    token of each position in ``at``. A decimal is
+    ``[+-]?([0-9]+.?[0-9]*|.[0-9]+)([eE][+-]?[0-9]+)?``, which is what
+    ``float()`` accepts of these bytes and ``np.fromstring`` reads whole. In
+    it a token's leading sign, point, mark and exponent sign come in that
+    order, each at most once, and each has the digits the form needs next to
+    it.
+    """
+    import numpy as np
+
+    # Two blanks past the end, so that every neighbor below exists.
+    padded = np.concatenate((classes, np.full(2, _BLANK, dtype=classes.dtype)))
+    kind, before, after = padded[at], padded[at - 1], padded[at + 1]
+    leading = (kind == _SIGN) & (before < _DIGIT)
+    exponent_sign = (kind == _SIGN) & (before == _MARK)
+    mantissa_digit = (before == _DIGIT) | ((before == _POINT) & (padded[at - 2] == _DIGIT))
+    exponent_digit = (after == _DIGIT) | ((after == _SIGN) & (padded[at + 2] == _DIGIT))
+    placed = np.select(
+        [kind == _POINT, kind == _MARK],
+        [(before == _DIGIT) | (after == _DIGIT), mantissa_digit & exponent_digit],
+        exponent_sign | (leading & (after >= _DIGIT)),
+    )
+    # An exponent sign ranks after the mark.
+    rank = np.where(exponent_sign, _MARK + 1, kind)
+    in_order = (token_of[1:] != token_of[:-1]) | (rank[1:] > rank[:-1])
+    return bool(placed.all() and in_order.all())
 
 
 def _bulk_arcs(text: str, directed: bool, relabel: bool):
@@ -177,12 +214,16 @@ def _bulk_arcs(text: str, directed: bool, relabel: bool):
 
     Clean text is ASCII with no ``#``, and has ``\r`` only before ``\n``.
     Every non-blank line has the same count of tokens, 2 or 3. Ids are
-    digit strings below 2**53. No edge repeats, and weights are finite and
-    positive. Any other text is left to
-    the line loop, which raises its line-numbered errors.
+    digit strings of at most 16 digits, below 2**53, so neither the int64
+    nor the float64 parse can overflow. Weights are decimals, finite and
+    positive; see :func:`_decimals_only`. So ``np.fromstring`` reads every
+    token to its end, and no warnings filter is needed for numpy versions
+    that warn rather than raise when it stops early. No edge repeats. Any
+    other text is left to the line loop, which raises its line-numbered
+    errors.
     """
     if (
-        len(text) < _BULK_MIN_CHARS
+        text.count("\n") < _BULK_MIN_LINES
         or "#" in text
         or not text.isascii()
         or text.count("\r") != text.count("\r\n")
@@ -190,19 +231,21 @@ def _bulk_arcs(text: str, directed: bool, relabel: bool):
         return None
     import numpy as np
 
-    # Byte classes: 0 blank, 1 newline, 2 digit, 3 other weight character,
-    # 4 anything else.
-    table = np.full(256, 4, dtype=np.uint8)
-    table[list(b" \t\r")] = 0
-    table[ord("\n")] = 1
-    table[list(b"0123456789")] = 2
-    table[list(b".eE+-")] = 3
+    table = np.full(256, _OTHER, dtype=np.uint8)
+    table[list(b" \t\r")] = _BLANK
+    table[ord("\n")] = _NEWLINE
+    table[list(b"0123456789")] = _DIGIT
+    table[list(b"+-")] = _SIGN
+    table[ord(".")] = _POINT
+    table[list(b"eE")] = _MARK
     classes = table[np.frombuffer(text.encode("ascii"), dtype=np.uint8)]
-    if (classes == 4).any():
+    if (classes == _OTHER).any():
         return None
-    in_token = classes >= 2
-    starts = np.flatnonzero(in_token & np.diff(in_token, prepend=False))
-    line_of = np.searchsorted(np.flatnonzero(classes == 1), starts)
+    in_token = classes >= _DIGIT
+    # Token bounds alternate: where a token starts, then just past its end.
+    bounds = np.flatnonzero(np.diff(in_token, prepend=False, append=False))
+    starts = bounds[0::2]
+    line_of = np.searchsorted(np.flatnonzero(classes == _NEWLINE), starts)
     width = int(np.searchsorted(line_of, line_of[0], side="right")) if starts.size else 0
     if width not in (2, 3) or starts.size % width:
         return None
@@ -210,25 +253,28 @@ def _bulk_arcs(text: str, directed: bool, relabel: bool):
     rows = line_of.reshape(-1, width)
     if (rows[:, -1] != rows[:, 0]).any() or (rows[1:, 0] <= rows[:-1, 0]).any():
         return None
-    # Only the weight column may hold '.', 'e', 'E', '+' or '-'.
-    token_of = np.searchsorted(starts, np.flatnonzero(classes == 3), side="right") - 1
-    if (token_of % width != 2).any():
+    # Ids of at most 16 digits, so neither parse below can overflow.
+    if ((bounds[1::2] - starts).reshape(-1, width)[:, :2] > 16).any():
         return None
-    del classes, in_token, line_of, rows, token_of
+    # Only the weight column may hold '+', '-', '.', 'e' or 'E'.
+    at = np.flatnonzero(classes > _DIGIT)
+    token_of = np.searchsorted(starts, at, side="right") - 1
+    if (token_of % width != 2).any() or not _decimals_only(classes, at, token_of):
+        return None
+    tokens = starts.size
+    del at, bounds, classes, in_token, line_of, rows, starts, token_of
 
-    with warnings.catch_warnings():
-        # Older numpy warns, rather than raises, when a token is not one number.
-        warnings.filterwarnings("error", "string or file could not be read to its end", DeprecationWarning)
-        try:
-            values = np.fromstring(text, dtype=np.float64 if width == 3 else np.int64, sep=" ")
-        except (ValueError, DeprecationWarning):
-            return None
-    # One number per token, or the rows below would misalign.
-    if values.size != starts.size:
+    try:
+        values = np.fromstring(text, dtype=np.float64 if width == 3 else np.int64, sep=" ")
+    except ValueError:
+        return None
+    # One number per token, or the rows below would misalign. Should a token
+    # still stop the parse early, numpy 2 raises and older numpy warns and
+    # returns fewer numbers.
+    if values.size != tokens:
         return None
     values = values.reshape(-1, width)
-    # Below 2**53 a float64 holds every id exactly; an int64 parse saturates
-    # above its range instead of failing.
+    # Below 2**53 a float64 holds every id exactly.
     if values[:, :2].max() >= 2**53:
         return None
     weights = None
@@ -242,6 +288,8 @@ def _bulk_arcs(text: str, directed: bool, relabel: bool):
     top = int(ids.max())
     if top < 2 * ids.size:
         # Dense enough that a table over every id is at most twice the ids.
+        # np.unique alone would serve here too, but its sort takes the set-up
+        # of perfbench's query-er100k from 0.26 s to 0.34 s.
         present = np.bincount(ids) > 0
         labels = np.flatnonzero(present)
         if labels.size != top + 1:

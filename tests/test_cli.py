@@ -297,16 +297,16 @@ def test_child_process_matches_in_process(capsys, star_file, command, numpy_load
 def test_bulk_parse_leaves_output_unchanged(capsys, tmp_path, monkeypatch, command):
     # Sparse labels, so the output carries a relabeling map, in a file large
     # enough for the bulk parse.
-    g = preferential_attachment(12_000, 2, random.Random(7))
+    g = preferential_attachment(17_000, 2, random.Random(7))
     text = "".join(f"{3 * u + 10} {3 * v + 10}\n" for u in range(g.node_count) for v in g.targets[u] if u < v)
-    assert len(text) >= graph._BULK_MIN_CHARS
+    assert text.count("\n") >= graph._BULK_MIN_LINES
     path = tmp_path / "pa.edges"
     path.write_text(text)
     argv = (command, "--graph", str(path), "--seed", "40", "--epsilon", "0.02", "--k", "10")
     with monkeypatch.context() as m:
         m.setattr(graph, "_read_edges", None)  # the bulk parse must serve this file
         bulk = run_cli(capsys, *argv)
-    monkeypatch.setattr(graph, "_BULK_MIN_CHARS", float("inf"))
+    monkeypatch.setattr(graph, "_BULK_MIN_LINES", float("inf"))
     assert bulk == run_cli(capsys, *argv)
     assert bulk[0] == 0
     assert '"relabeling"' in bulk[1]
