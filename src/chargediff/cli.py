@@ -209,12 +209,12 @@ def _cmd_simulate(args) -> int:
         "centralized_match": match,
         "rounds": [
             {
-                "round": s.round_index,
+                "round": r,
                 "messages": s.messages_sent,
                 "active": s.active_count,
                 "total_charge": s.total_charge,
             }
-            for s in stats
+            for r, s in enumerate(stats, 1)
         ],
         "totals": {
             "rounds": len(stats),

@@ -110,11 +110,6 @@ class ChargeState:
         )
 
 
-def is_active(x_i: float, cfg: DiffusionConfig) -> bool:
-    """Strictly above-threshold charge makes a node active."""
-    return x_i > cfg.epsilon
-
-
 def init_state(g: Graph, seed: int) -> ChargeState:
     """Unit charge on ``seed``, zero elsewhere, at iteration 0."""
     if not 0 <= seed < g.node_count:
@@ -131,7 +126,7 @@ def splitter(cfg: DiffusionConfig) -> Callable[[float], tuple[float, float]]:
     (x - epsilon) and send alpha * (x - epsilon). The constants are fixed
     once per config; for the first two rules the floor is 0.0, whose
     subtraction and addition change no bit of a charge x >= 0. The
-    engine's round and the simulator's actors both split through this.
+    engine's round and the simulator's round both split through this.
     """
     floor = cfg.epsilon if cfg.variant is Variant.EXCESS else 0.0
     keep, give = 1.0 - cfg.alpha, cfg.alpha

@@ -1,11 +1,13 @@
 """Synchronous message-passing twin of the centralized query driver.
 
-Every node is an independent actor holding only its own charge and its
-out-edge list. A round has two phases: all transmitting nodes emit one
-message per out-edge (phase 1), then every node folds its inbox into its
-charge in ascending sender-id order (phase 2, behind a barrier). An
-omniscient coordinator, the centralized engine's own run loop, applies the
-stop predicate before each round, so iteration counts and every float in the
+Every node knows only its own charge and its out-edge list. A round has two
+phases. In phase 1 each transmitting node splits its round-start charge once
+and mails ``(sender, amount)`` along each out-edge into the round's inbox.
+In phase 2, behind a barrier, each node that sent or received mail folds
+its inbox, sorted by sender id, into the charge it kept; every other node
+keeps its charge untouched. An omniscient coordinator, the centralized
+engine's own run loop, holds the charge vector and applies the stop
+predicate before each round, so iteration counts and every float in the
 final charge vector match :func:`chargediff.engine.run_query` exactly, not
 just approximately.
 
@@ -15,7 +17,7 @@ stands in for it so that message accounting stays faithful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .diffusion import ChargeState, DiffusionConfig, Variant, emitters, splitter
 from .engine import Bounds, QueryResult, _run
@@ -26,42 +28,10 @@ from .graph import Graph
 from .engine import build_result, should_stop  # noqa: F401
 
 
-@dataclass
-class NodeActor:
-    """One node's local state: charge, out-edges, and a mailbox."""
-
-    id: int
-    charge: float
-    targets: tuple[int, ...]
-    ratios: tuple[float, ...]
-    inbox: list[tuple[int, float]] = field(default_factory=list)
-
-    def emit(self, sent: float) -> list[tuple[int, tuple[int, float]]]:
-        """Messages (target, (sender, amount)) for this round, one per out-edge.
-
-        ``sent`` is the share of this node's charge that the run's
-        :func:`chargediff.diffusion.splitter` gives away; each out-edge
-        carries its out-ratio of it.
-        """
-        return [
-            (self.targets[k], (self.id, sent * self.ratios[k]))
-            for k in range(len(self.targets))
-        ]
-
-    def fold_inbox(self, kept: float) -> None:
-        """Start from the kept charge, then add receipts sorted by sender id."""
-        acc = kept
-        for _, amount in sorted(self.inbox):
-            acc += amount
-        self.charge = acc
-        self.inbox.clear()
-
-
 @dataclass(frozen=True)
 class RoundStats:
-    """Accounting for one synchronous round."""
+    """Accounting for one synchronous round; a list's entry i is round i + 1."""
 
-    round_index: int
     messages_sent: int
     active_count: int
     total_charge: float
@@ -85,111 +55,91 @@ class MessageReport:
 def run_distributed(
     g: Graph, seed: int, cfg: DiffusionConfig
 ) -> tuple[QueryResult, list[RoundStats]]:
-    """Simulate the diffusion as lockstep rounds of per-node actors.
+    """Simulate the diffusion as lockstep rounds of message passing.
 
     Returns the query result (identical to the centralized run, float for
-    float) and per-round message statistics. A round that would emit zero
-    messages is never run or recorded.
+    float) and one :class:`RoundStats` row per round, the row of round r at
+    position r - 1. A round that would emit zero messages is never run or
+    recorded.
 
-    Actors exist only for nodes that hold charge or have mail waiting, so a
-    round costs O(emitters * degree + touched), independent of graph size.
+    Only the nodes that send or receive mail are folded, so a round costs
+    O(emitters * degree + touched), independent of graph size; the
+    conservation check and the total charge still walk the charged nodes.
     LAZY_WALK is the exception: every node with out-edges transmits, so its
     rounds cost O(n + arcs).
 
     A capped run whose charge vector repeats is cut short by the shared run
-    loop (see :func:`chargediff.engine._run`): the skipped rounds repeat
-    the stats of one period with shifted ``round_index``, so there is still
-    one entry per iteration and the stats equal those of playing every round.
+    loop (see :func:`chargediff.engine._run`), which repeats the rows of one
+    period for the skipped rounds. So there is still one row per iteration,
+    equal to the row of playing that round; repeated rows are shared objects.
     """
-    actors: dict[int, NodeActor] = {}
     stats: list[RoundStats] = []
-
-    def actor(i: int) -> NodeActor:
-        a = actors.get(i)
-        if a is None:
-            a = actors[i] = NodeActor(id=i, charge=0.0, targets=g.targets[i], ratios=g.out_ratios[i])
-        return a
-
     eps = cfg.epsilon
     split = splitter(cfg)
 
     def advance(state: ChargeState) -> ChargeState:
         x = state.x
-        if state.t == 0:
-            # The query hands the seed its unit charge.
-            for i, xi in x.items():
-                actor(i).charge = xi
-
-        # Phase 1: emissions, all computed from the round-start state. Each
-        # sender's split is made once; ``kept`` holds what the senders keep.
+        # Phase 1: emissions, all computed from the round-start charges. Each
+        # sender splits once and keeps ``kept[j]``; ``inbox`` has a mailbox
+        # for every node that sends or receives, in the order first touched.
         kept: dict[int, float] = {}
+        inbox: dict[int, list[tuple[int, float]]] = {}
         messages = 0
         in_flight = 0.0
         for j in emitters(state, g, cfg):
-            a = actor(j)
-            kept[j], sent = split(a.charge)
-            for target, message in a.emit(sent):
-                actor(target).inbox.append(message)
-                in_flight += message[1]
-                messages += 1
+            kept[j], sent = split(x.get(j, 0.0))
+            inbox.setdefault(j, [])
+            for target, ratio in zip(g.targets[j], g.out_ratios[j]):
+                amount = sent * ratio
+                inbox.setdefault(target, []).append((j, amount))
+                in_flight += amount
+            messages += g.degrees[j]
 
         if cfg.variant is Variant.LAZY_WALK:
             active_count = g.node_count
         else:
             active_count = len(state.active(eps))
 
-        held = sum(kept.get(i, a.charge) for i, a in actors.items())
+        held = sum(kept.get(i, xi) for i, xi in x.items())
         if abs(held + in_flight - 1.0) > 1e-9:
             raise RuntimeError(
                 f"charge leak at round {state.t + 1}: held={held!r} in_flight={in_flight!r}"
             )
 
-        # Phase 2: barrier, then order-fixed inbox folds; actors left without
-        # charge retire. Every actor above epsilon goes to ``advance``, which
-        # takes the next frontier from them and the round-start one.
-        new_x = {}
+        # Phase 2: barrier, then order-fixed inbox folds. A node left without
+        # charge is dropped; every folded node above epsilon goes to
+        # ``advance``, which takes the next frontier from them and the
+        # round-start one.
+        new_x = dict(x)
         above = []
-        for i, a in list(actors.items()):
-            a.fold_inbox(kept.get(i, a.charge))
-            if a.charge == 0.0:
-                del actors[i]
+        for i, mail in inbox.items():
+            charge = kept.get(i, x.get(i, 0.0))
+            for _, amount in sorted(mail):
+                charge += amount
+            if charge == 0.0:
+                new_x.pop(i, None)
             else:
-                new_x[i] = a.charge
-                if a.charge > eps:
+                new_x[i] = charge
+                if charge > eps:
                     above.append(i)
         stats.append(
             RoundStats(
-                round_index=state.t + 1,
                 messages_sent=messages,
                 active_count=active_count,
-                # Ascending ids, so the float does not depend on actor creation order.
+                # Ascending ids, so the float does not depend on dict order.
                 total_charge=sum(new_x[i] for i in sorted(new_x)),
             )
         )
         return state.advance(new_x, eps, above)
 
-    def repeat(start: int, period: int, copies: int) -> None:
-        # The run loop skipped ``copies`` periods of a repeating charge
-        # vector. A round's stats depend only on its start vector, so the
-        # skipped rounds repeat ``stats[start:start + period]``, one period
-        # later each time.
-        cycle = stats[start:start + period]
-        stats.extend(
-            RoundStats(r.round_index + shift, r.messages_sent, r.active_count, r.total_charge)
-            for shift in range(period, (copies + 1) * period, period)
-            for r in cycle
-        )
-
-    return _run(g, seed, cfg, advance, repeat), stats
+    return _run(g, seed, cfg, advance, stats), stats
 
 
 def round_stats_table(stats: list[RoundStats]) -> str:
     """Tab-separated table of per-round stats, header included."""
     lines = ["round\tmessages\tactive\ttotal_charge"]
-    for row in stats:
-        lines.append(
-            f"{row.round_index}\t{row.messages_sent}\t{row.active_count}\t{row.total_charge!r}"
-        )
+    for r, row in enumerate(stats, 1):
+        lines.append(f"{r}\t{row.messages_sent}\t{row.active_count}\t{row.total_charge!r}")
     return "\n".join(lines) + "\n"
 
 

@@ -170,7 +170,7 @@ def _run(
     seed: int,
     cfg: DiffusionConfig,
     advance: Callable[[ChargeState], ChargeState],
-    repeat: Callable[[int, int, int], None] | None = None,
+    rows: list | None = None,
 ) -> QueryResult:
     """The run loop shared by :func:`run_query` and the message-passing simulator.
 
@@ -178,8 +178,7 @@ def _run(
     excess trace, and before each round applies the stop predicate
     (terminated=True) and then the iteration cap (terminated=False).
     ``advance`` plays one round and returns the next state: :func:`step`
-    for the centralized engine, the actors' emit-and-fold round for the
-    simulator.
+    for the centralized engine, the mail-and-fold round for the simulator.
 
     A round's outcome depends only on the round-start charge vector ``x``
     (the frontier is derived from it; ``ever_active`` never feeds back), so
@@ -192,10 +191,10 @@ def _run(
     the excess trace of one period for each, and plays the fewer than lam
     rounds left as usual. A periodic capped run thus costs its settling
     rounds plus a period or two, and still reports the cap as its
-    ``iterations``. ``repeat(start, period, copies)`` is told of the skip,
-    so a caller keeping its own per-round records (indexed like the trace:
-    entry i for the round that starts at round i) can repeat
-    ``records[start:start + period]`` ``copies`` times.
+    ``iterations``. ``rows``, when given, is a caller's list of per-round
+    records that ``advance`` appends to, indexed like the trace (entry i
+    for the round that starts at round i); the skip repeats its period of
+    rows just as it repeats the trace's.
     """
     validate_config(g, cfg)
     state = init_state(g, seed)
@@ -211,10 +210,9 @@ def _run(
         if state.x == saved:
             period = state.t - saved_t
             copies = (cfg.max_iterations - state.t) // period
-            if trace is not None:
-                trace.extend(trace[saved_t:state.t] * copies)
-            if repeat is not None:
-                repeat(saved_t, period, copies)
+            for records in (trace, rows):
+                if records is not None:
+                    records.extend(records[saved_t:state.t] * copies)
             state = replace(state, t=state.t + copies * period)
         elif state.t - saved_t == reach:
             saved, saved_t, reach = state.x, state.t, 2 * reach

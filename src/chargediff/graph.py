@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 
@@ -41,9 +40,10 @@ class Graph:
     node_count: int
     directed: bool
     targets: tuple[tuple[int, ...], ...]
-    out_ratios: tuple[tuple[float, ...], ...]
+    # Derived from targets and weights, so equality and hashing skip them.
+    out_ratios: tuple[tuple[float, ...], ...] = field(compare=False)
     weights: tuple[tuple[float, ...], ...]
-    degrees: tuple[int, ...]
+    degrees: tuple[int, ...] = field(compare=False)
 
     @property
     def arc_count(self) -> int:
@@ -55,19 +55,6 @@ class Graph:
         """Number of edges in the input sense (arcs for directed input)."""
         return self.arc_count if self.directed else self.arc_count // 2
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Graph):
-            return NotImplemented
-        return (
-            self.node_count == other.node_count
-            and self.directed == other.directed
-            and self.targets == other.targets
-            and self.weights == other.weights
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.node_count, self.directed, self.targets, self.weights))
-
 
 def _ratio_row(weights: Sequence[float]) -> tuple[float, ...]:
     if not weights:
@@ -75,8 +62,14 @@ def _ratio_row(weights: Sequence[float]) -> tuple[float, ...]:
     if len(set(weights)) == 1:
         # Uniform weights cancel exactly; 1/d is the correctly rounded ratio.
         return (1.0 / len(weights),) * len(weights)
-    total = sum((Fraction(w) for w in weights), Fraction(0))
-    return tuple(float(Fraction(w) / total) for w in weights)
+    # Each weight is p/q with q a power of two, so over the largest q every
+    # weight is an integer m; w / sum(w) is then m / sum(m), and int true
+    # division rounds that exact quotient correctly.
+    pairs = [w.as_integer_ratio() for w in weights]
+    scale = max(q for _, q in pairs)
+    scaled = [p * (scale // q) for p, q in pairs]
+    total = sum(scaled)
+    return tuple(m / total for m in scaled)
 
 
 def from_edges(

@@ -8,7 +8,6 @@ from chargediff.diffusion import (
     Variant,
     excess_total,
     init_state,
-    is_active,
     step,
 )
 from chargediff.generators import complete_graph, path_graph, star
@@ -45,10 +44,9 @@ def test_init_state_rejects_bad_seed():
 
 
 def test_is_active_is_strict():
-    cfg = DiffusionConfig(alpha=0.5, epsilon=0.1)
-    assert not is_active(0.1, cfg)
-    assert is_active(0.1 + 1e-15, cfg)
-    assert not is_active(0.0, cfg)
+    # A charge exactly at epsilon is not active; one just above it is.
+    state = ChargeState(x={0: 0.1, 1: 0.1 + 1e-15, 2: 0.0}, t=0, ever_active=set(), seed=0)
+    assert state.active(0.1) == [1]
 
 
 def test_retention_star_step_one():
@@ -64,7 +62,7 @@ def test_retention_star_step_four():
     assert state.x[0] == 0.0625
     for leaf in range(1, 11):
         assert state.x[leaf] == pytest.approx(0.09375, abs=1e-12)
-    assert not any(is_active(v, CFG) for v in state.x.values())
+    assert not any(v > CFG.epsilon for v in state.x.values())
 
 
 def test_retention_triangle_two_steps_exact():
@@ -177,7 +175,7 @@ def test_once_active_keeps_retained_floor():
         state = step(state, g, cfg)
         for node in activated:
             assert state.x[node] > floor
-        activated |= {i for i, v in state.x.items() if is_active(v, cfg)}
+        activated |= {i for i, v in state.x.items() if v > cfg.epsilon}
 
 
 def test_ever_active_includes_final_state_activations():

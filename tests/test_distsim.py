@@ -111,8 +111,9 @@ def test_distributed_equals_centralized_on_random_graphs(variant, trial):
 
 
 def test_round_cost_independent_of_graph_size():
-    # The star of STAR padded with 99,989 isolated nodes: actors exist only
-    # for charged nodes, so the run allocates as little as on the bare star.
+    # The star of STAR padded with 99,989 isolated nodes: a round touches
+    # only charged nodes and their mail, so the run allocates as little as
+    # on the bare star.
     g = from_edges([(0, i, 1.0) for i in range(1, 11)], node_count=100_000)
     tracemalloc.start()
     try:

@@ -1,7 +1,11 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chargediff.graph import (
     EdgeListError,
+    _ratio_row,
     from_edges,
     max_degree,
     parse_edge_list,
@@ -157,3 +161,31 @@ def test_out_ratios_sum_to_one():
     for i in range(g.node_count):
         if g.degrees[i]:
             assert sum(g.out_ratios[i]) == pytest.approx(1.0, abs=1e-15)
+
+
+def fraction_ratio_row(weights):
+    """The ratio row as exact rationals: w / sum(w), each rounded once."""
+    if len(set(weights)) == 1:
+        return (1.0 / len(weights),) * len(weights)
+    total = sum((Fraction(w) for w in weights), Fraction(0))
+    return tuple(float(Fraction(w) / total) for w in weights)
+
+
+POSITIVE_FLOATS = st.one_of(
+    st.floats(min_value=5e-324, max_value=1.7976931348623157e308, allow_subnormal=True),
+    st.sampled_from([5e-324, 2.2250738585072014e-308, 0.1, 0.5, 1.0, 2.25, 3.0, 1.7976931348623157e308]),
+)
+
+
+@given(weights=st.lists(POSITIVE_FLOATS, min_size=1, max_size=8))
+@settings(max_examples=500, deadline=None)
+def test_ratio_row_matches_exact_rationals_bit_for_bit(weights):
+    assert [r.hex() for r in _ratio_row(weights)] == [r.hex() for r in fraction_ratio_row(weights)]
+
+
+def test_graphs_compare_and_hash_by_rows_and_weights():
+    g = parse_edge_list("0 1 2.5\n1 2 0.125")
+    same = from_edges([(1, 2, 0.125), (0, 1, 2.5)])
+    assert same == g and hash(same) == hash(g)
+    assert parse_edge_list("0 1 2.5\n1 2 0.25") != g
+    assert parse_edge_list("0 1 2.5\n1 2 0.125", directed=True) != g

@@ -75,7 +75,7 @@ def assert_matches_played(g, seed, cfg):
     twin, stats = run_distributed(g, seed, cfg)
     assert twin == result
     assert len(stats) == result.iterations
-    assert [(s.round_index, s.messages_sent, s.active_count, s.total_charge.hex()) for s in stats] == rows
+    assert [(r, s.messages_sent, s.active_count, s.total_charge.hex()) for r, s in enumerate(stats, 1)] == rows
 
 
 @st.composite
@@ -157,4 +157,13 @@ def test_capped_simulation_rounds_only_until_it_repeats(monkeypatch):
     result, stats = run_distributed(CYCLE5, 0, DiffusionConfig(max_iterations=200_003))
     assert len(calls) <= 300
     assert result.iterations == len(stats) == 200_003
-    assert [s.round_index for s in stats] == list(range(1, 200_004))
+    # The run settles at round 174 into a period of 10; every later row
+    # repeats the row one period before it.
+    assert stats[184:] == stats[174:-10]
+
+
+def test_capped_simulation_repeats_its_row_objects():
+    # The skipped rounds share the row objects of the period they repeat.
+    result, stats = run_distributed(TRIANGLE, 0, DiffusionConfig())
+    assert result.iterations == len(stats) == 1_000_000
+    assert len({id(s) for s in stats}) <= 64

@@ -10,7 +10,6 @@ from chargediff.diffusion import (
     Variant,
     excess_total,
     init_state,
-    is_active,
     step,
 )
 from chargediff.distsim import run_distributed
@@ -252,7 +251,7 @@ def test_activated_nodes_hold_the_retained_floor(g, cfg, steps):
         state = step(state, g, cfg)
         for node in activated:
             assert state.x.get(node, 0.0) > floor
-        activated |= {i for i, v in state.x.items() if is_active(v, cfg)}
+        activated |= {i for i, v in state.x.items() if v > cfg.epsilon}
 
 
 @given(g=graphs(max_n=12), cfg=configs(), seed_frac=st.floats(0, 0.999))
