@@ -20,7 +20,6 @@ import json
 import sys
 
 from .diffusion import DiffusionConfig, Variant
-from .distsim import message_complexity_report, round_stats_table, run_distributed
 from .engine import ConfigError, compute_bounds, run_query, top_k, validate_config
 from .graph import EdgeListError, Graph, max_degree, parse_edge_list_relabeled
 
@@ -131,14 +130,21 @@ def _echo_comments(echo: dict) -> list[str]:
     return [f"# {key}={echo[key]}" for key in sorted(echo)]
 
 
+def _check_k(k: int) -> None:
+    # Checked before the query so a bad k costs no run; same message as top_k.
+    if k < 1:
+        raise ConfigError(f"k must be >= 1, got {k}")
+
+
 def _cmd_knn(args) -> int:
     graph, labels, cfg, seed, warnings = _prepare_query(args)
+    _check_k(args.k)
     result = run_query(graph, seed, cfg)
     if not result.terminated:
         print("warning: iteration cap reached without termination", file=sys.stderr)
     top = top_k(result, args.k, include_seed=args.include_seed)
     echo = _config_echo(args, cfg)
-    charges = dict(result.ranking)
+    charges = result.final_charges
     if args.format == "tsv":
         lines = _echo_comments(echo)
         lines.append("rank\tnode\tcharge")
@@ -167,6 +173,9 @@ def _cmd_knn(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    # Imported here so that the other subcommands start without the simulator.
+    from .distsim import message_complexity_report, round_stats_table, run_distributed
+
     graph, labels, cfg, seed, warnings = _prepare_query(args)
     result, stats = run_distributed(graph, seed, cfg)
     central = run_query(graph, seed, cfg)
@@ -272,6 +281,7 @@ def _cmd_compare(args) -> int:
     from . import baselines
 
     graph, labels, cfg, seed, warnings = _prepare_query(args)
+    _check_k(args.k)
     result = run_query(graph, seed, cfg)
     diffusion_top = top_k(result, args.k, include_seed=args.include_seed)
 

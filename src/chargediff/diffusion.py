@@ -170,6 +170,15 @@ def step(state: ChargeState, g: Graph, cfg: DiffusionConfig) -> ChargeState:
     order. A receipt that lifts its receiver from at most epsilon to above
     it records the receiver for the next frontier. Apart from the C-level
     copy, the round costs O(pushed arcs + frontier log frontier).
+
+    A uniform row (every share equal, as in any unweighted graph) gives
+    every arc the same receipt, ``sent * share``: one float, computed and
+    tested for zero once per sender, so each of its arcs costs one lookup,
+    one add and one store. :class:`~chargediff.graph.Graph` stores such a
+    row as one float object repeated, which is how the round recognises it
+    without comparing floats. Any other row, including a uniform one built
+    by hand from distinct objects, multiplies per arc. The receipts, and so
+    the bits, are the same either way.
     """
     x = state.x
     eps = cfg.epsilon
@@ -184,14 +193,29 @@ def step(state: ChargeState, g: Graph, cfg: DiffusionConfig) -> ChargeState:
             pushes.append((j, sent))
 
     risen = []
-    for j, amount_total in pushes:
-        for t, ratio in zip(g.targets[j], g.out_ratios[j]):
-            amount = amount_total * ratio
+    get = new_x.get
+    targets, out_ratios = g.targets, g.out_ratios
+    for j, sent in pushes:
+        ratios = out_ratios[j]
+        share = ratios[0]
+        # The identity test settles a mixed row without reading its floats;
+        # count confirms a uniform one (by identity, so also cheaply).
+        if share is ratios[-1] and ratios.count(share) == len(ratios):
+            amount = sent * share
             if amount != 0.0:
-                before = new_x.get(t, 0.0)
-                after = new_x[t] = before + amount
-                if after > eps >= before:
-                    risen.append(t)
+                for t in targets[j]:
+                    before = get(t, 0.0)
+                    after = new_x[t] = before + amount
+                    if after > eps >= before:
+                        risen.append(t)
+        else:
+            for t, ratio in zip(targets[j], ratios):
+                amount = sent * ratio
+                if amount != 0.0:
+                    before = get(t, 0.0)
+                    after = new_x[t] = before + amount
+                    if after > eps >= before:
+                        risen.append(t)
     return state.advance(new_x, eps, risen)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from typing import Callable, Mapping
 
 from .diffusion import (
@@ -150,9 +151,15 @@ def build_result(
 
     Shared with the distributed simulator so both paths derive rankings and
     counts identically.
+
+    ``final`` is built in ascending id order, and the ranking sorts its
+    items by charge alone with a C-level key. Python's sort is stable, and
+    ``reverse=True`` keeps it stable (equal items stay in input order), so
+    nodes of equal charge stay in ascending id order: the same ranking as
+    a sort on ``(-charge, id)``.
     """
     final = {i: x[i] for i in sorted(x) if x[i] > 0.0}
-    ranking = sorted(final.items(), key=lambda kv: (-kv[1], kv[0]))
+    ranking = sorted(final.items(), key=itemgetter(1), reverse=True)
     return QueryResult(
         seed=seed,
         nn_set=sorted(ever_active),

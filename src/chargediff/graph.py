@@ -32,7 +32,9 @@ class Graph:
     by its arc to ``targets[i][k]``, rounded once from the exact rational
     w / sum(w). Precomputing the ratio this way keeps trajectories identical
     when all weights are rescaled by a common factor that the floats
-    represent exactly. ``weights[i][k]`` is that arc's weight as given; only
+    represent exactly. A row whose shares are all equal repeats one float
+    object, so :func:`chargediff.diffusion.step` can tell it by identity.
+    ``weights[i][k]`` is that arc's weight as given; only
     serialization and the dense baselines read it. ``degrees[i]`` is
     ``len(targets[i])``.
     """
@@ -60,7 +62,8 @@ def _ratio_row(weights: Sequence[float]) -> tuple[float, ...]:
     if not weights:
         return ()
     if len(set(weights)) == 1:
-        # Uniform weights cancel exactly; 1/d is the correctly rounded ratio.
+        # Uniform weights cancel exactly; 1/d is the correctly rounded ratio,
+        # one float object repeated (see Graph).
         return (1.0 / len(weights),) * len(weights)
     # Each weight is p/q with q a power of two, so over the largest q every
     # weight is an integer m; w / sum(w) is then m / sum(m), and int true

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from chargediff import graph
+from chargediff import cli, graph
 from chargediff.cli import main
 from chargediff.generators import preferential_attachment
 
@@ -17,13 +17,14 @@ TRIANGLE_TEXT = "0 1\n1 2\n2 0\n"
 CHILD_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
 
 # Runs the package as ``python -m chargediff`` does, then reports on the last
-# stderr line whether numpy was imported along the way.
+# stderr lines whether numpy and the simulator were imported along the way.
 CHILD = (
     "import runpy, sys\n"
     "try:\n"
     "    runpy.run_module('chargediff', run_name='__main__', alter_sys=True)\n"
     "finally:\n"
     "    print(f'numpy loaded: {\"numpy\" in sys.modules}', file=sys.stderr)\n"
+    "    print(f'distsim loaded: {\"chargediff.distsim\" in sys.modules}', file=sys.stderr)\n"
 )
 
 
@@ -92,6 +93,20 @@ def test_knn_unknown_seed_exits_1(capsys, star_file):
     code, _, err = run_cli(capsys, "knn", "--graph", star_file, "--seed", "99")
     assert code == 1
     assert "99" in err
+
+
+@pytest.mark.parametrize("command", ["knn", "compare"])
+@pytest.mark.parametrize("k", ["0", "-3"])
+def test_bad_k_exits_1_before_the_query(capsys, monkeypatch, triangle_file, command, k):
+    def no_query(*args):
+        raise AssertionError("the query ran")
+
+    monkeypatch.setattr(cli, "run_query", no_query)
+    code, out, err = run_cli(capsys, command, "--graph", triangle_file, "--seed", "0", "--k", k)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[-1] == f"error: k must be >= 1, got {k}"
+    assert "iteration cap" not in err
 
 
 def test_usage_error_exits_1(capsys, star_file):
@@ -290,7 +305,7 @@ def test_child_process_matches_in_process(capsys, star_file, command, numpy_load
     code, out, err = run_cli(capsys, *argv)
     assert proc.returncode == code == 0
     assert proc.stdout == out
-    assert proc.stderr == err + f"numpy loaded: {numpy_loaded}\n"
+    assert proc.stderr == err + f"numpy loaded: {numpy_loaded}\ndistsim loaded: False\n"
 
 
 @pytest.mark.parametrize("command", ["knn", "simulate"])

@@ -1,10 +1,12 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chargediff.diffusion import DiffusionConfig, Variant
 from chargediff.engine import (
     ConfigError,
+    build_result,
     compute_bounds,
     nn_subgraph_connected,
     periphery_check,
@@ -217,3 +219,29 @@ class TestNeighborhoodChecks:
         res = run_query(complete_graph(3), 0, cfg)
         with pytest.raises(ValueError, match="terminated"):
             periphery_check(complete_graph(3), res, cfg)
+
+
+# A small pool, so that equal charges (ties in the ranking) are common.
+CHARGE_POOL = (0.0, 5e-324, 0.125, 0.1, 0.3, 0.25, 1.0)
+
+
+@given(
+    x=st.lists(
+        st.tuples(st.integers(0, 40), st.sampled_from(CHARGE_POOL)),
+        unique_by=lambda kv: kv[0],
+        max_size=30,
+    ).map(dict)
+)
+@settings(max_examples=200, deadline=None)
+def test_build_result_ranks_like_the_charge_then_id_key(x):
+    # Keys arrive in random order and some hold 0.0; the ranking must equal
+    # the (-charge, id) sort it replaced, kept here as the reference.
+    res = build_result(x, set(), 0, 1, True)
+    reference = sorted(
+        ((i, xi) for i, xi in x.items() if xi > 0.0), key=lambda kv: (-kv[1], kv[0])
+    )
+    assert res.ranking == reference
+    assert list(res.final_charges) == sorted(res.final_charges)
+    assert 0.0 not in res.final_charges.values()
+    assert res.final_charges == dict(reference)
+    assert res.touched == len(reference)

@@ -14,7 +14,7 @@ from chargediff.diffusion import (
 )
 from chargediff.distsim import run_distributed
 from chargediff.engine import run_query, should_stop
-from chargediff.graph import from_edges, parse_edge_list, serialize_edge_list
+from chargediff.graph import Graph, from_edges, parse_edge_list, serialize_edge_list
 
 SETTINGS = dict(max_examples=60, deadline=None)
 POW2_WEIGHTS = (0.25, 0.5, 1.0, 2.0, 4.0)
@@ -135,6 +135,51 @@ def test_step_matches_reference_round_bit_for_bit(g, cfg, seed_frac, steps):
             # unless a charged sender pushes to it.
             reached = {t for j, xj in before.items() if xj != 0.0 for t in g.targets[j]}
             assert set(state.x) <= set(before) | reached
+
+
+def step_like_reference(g, cfg, x, rounds):
+    """Step a hand-built state, checking bits and key order against the reference."""
+    state = ChargeState(x=dict(x), t=0, ever_active=set(), seed=0)
+    ref = ChargeState(x=dict(x), t=0, ever_active=set(), seed=0)
+    for _ in range(rounds):
+        state = step(state, g, cfg)
+        ref = reference_step(ref, g, cfg)
+        assert bits(state.x) == bits(ref.x)
+        assert state.ever_active == ref.ever_active
+    return state
+
+
+def test_uniform_rows_match_reference_round_bit_for_bit():
+    # Node 0 holds the smallest subnormal and has three equal-weight
+    # out-arcs: a lazy walk sends it half, which rounds to 0.0, so the one
+    # receipt of its row is 0.0 and must add no key to 1, 2 or 3.
+    g = from_edges([(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0), (4, 5, 1.0), (5, 6, 1.0)], directed=True)
+    state = step_like_reference(g, DiffusionConfig(variant=Variant.LAZY_WALK), {0: 5e-324, 4: 0.75, 6: 0.25}, 3)
+    assert not {1, 2, 3} & set(state.x)
+
+    # Weighted rows: 0, 2 and 4 are all-equal (every weight 2.5), 1 and 3
+    # are mixed, so a round uses both paths.
+    w = [(0, 1, 2.5), (0, 2, 2.5), (0, 3, 2.5), (1, 0, 2.5), (1, 4, 1.0), (2, 4, 2.5),
+         (3, 0, 0.5), (3, 1, 3.0), (3, 4, 2.25), (4, 1, 2.5), (4, 3, 2.5)]
+    g = from_edges(w, directed=True)
+    assert [len(set(row)) == 1 for row in g.out_ratios] == [True, False, True, False, True]
+    for cfg in (
+        DiffusionConfig(alpha=0.4, epsilon=0.05),
+        DiffusionConfig(alpha=0.4, epsilon=0.05, variant=Variant.EXCESS, delta=5e-4),
+        DiffusionConfig(variant=Variant.LAZY_WALK),
+    ):
+        step_like_reference(g, cfg, {0: 0.5, 1: 0.2, 3: 0.3}, 12)
+
+    # Rows built by hand: node 0's row has one object at both ends but
+    # another share between them; node 1's shares are equal but distinct
+    # objects. Both must give the reference's receipts.
+    quarter = 0.25
+    third = tuple(float(s) for s in ("0.3333333333333333",) * 3)
+    assert third[0] is not third[1]
+    g = Graph(4, True, ((1, 2, 3), (0, 2, 3), (0,), (1,)),
+              ((quarter, 0.5, quarter), third, (1.0,), (1.0,)),
+              ((1.0, 2.0, 1.0), (1.0, 1.0, 1.0), (1.0,), (1.0,)), (3, 3, 1, 1))
+    step_like_reference(g, DiffusionConfig(alpha=0.5, epsilon=0.05), {0: 0.6, 1: 0.4}, 6)
 
 
 @given(

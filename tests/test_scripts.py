@@ -1,5 +1,7 @@
-"""The demo scripts run to completion and print their tables."""
+"""The demo scripts run to completion and print their tables; the pair summary counts right."""
 
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -19,3 +21,51 @@ def test_demo_script_runs(script):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def result_line(p50, ops):
+    return json.dumps({
+        "correct": True, "attempted": 100, "failed": 0,
+        "metrics": {"op_p50_ms": {"value": p50, "unit": "ms"}, "ops_per_s": {"value": ops, "unit": "1/s"}},
+    })
+
+
+END_TO_END = [
+    {"name": "op_p50_ms", "unit": "ms", "better": "lower", "bound": 0.25},
+    {"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+]
+
+
+@pytest.mark.parametrize("change_p50, wins, holds", [
+    # 9/10 wins by 1 ms against a parent spread of 0.45 ms: the gain holds.
+    ([9.0, 9.1, 9.2, 9.3, 9.4, 9.5, 9.6, 9.7, 9.8, 10.9], 9, True),
+    # 9/10 wins, but only 0.05 ms apart at the median: less than the spread.
+    ([9.95, 10.05, 10.15, 10.25, 10.35, 10.45, 10.55, 10.65, 10.75, 10.95], 9, False),
+    # 8/10 wins (a loss and a tie): below nine in ten, so no claim.
+    ([9.0, 9.1, 9.2, 9.3, 9.4, 9.5, 9.6, 9.7, 10.9, 10.9], 8, False),
+])
+def test_bench_pairs_summary_counts_wins_and_applies_the_claim_rule(change_p50, wins, holds):
+    bench_pairs = load_script("bench_pairs")
+    parent_p50 = [10.0, 10.1, 10.2, 10.3, 10.4, 10.5, 10.6, 10.7, 10.8, 10.9]
+    parent_ops = [30.0] * 10
+    change_ops = [30.0, 29.0] + [31.0] * 8  # one tie, one loss
+    canned = [
+        (result_line(p, po), result_line(c, co))
+        for p, c, po, co in zip(parent_p50, change_p50, parent_ops, change_ops)
+    ]
+    pairs = [(json.loads(p), json.loads(c)) for p, c in canned]
+    p50, ops = bench_pairs.summarize(pairs, END_TO_END)
+    assert p50["parent"] == pytest.approx((10.225, 10.45, 10.675))
+    assert p50["parent_iqr"] == pytest.approx(0.45)
+    assert p50["wins"] == wins
+    assert p50["holds"] is holds
+    assert (ops["wins"], ops["pairs"], ops["holds"]) == (8, 10, False)
+    table = bench_pairs.format_rows([p50, ops], (0, 0))
+    assert table.splitlines()[2].startswith("op_p50_ms\tms\t10.22/10.45/10.67\t")
