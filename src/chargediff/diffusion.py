@@ -127,13 +127,18 @@ def splitter(cfg: DiffusionConfig) -> Callable[[float], tuple[float, float]]:
     once per config; for the first two rules the floor is 0.0, whose
     subtraction and addition change no bit of a charge x >= 0. The
     engine's round and the simulator's round both split through this.
+
+    When the kept share rounds back to x itself (an EXCESS charge a few
+    ulps above epsilon, or alpha so small that 1 - alpha == 1.0), the node
+    keeps x and sends 0.0: sending anything would create charge.
     """
     floor = cfg.epsilon if cfg.variant is Variant.EXCESS else 0.0
     keep, give = 1.0 - cfg.alpha, cfg.alpha
 
     def split(x: float) -> tuple[float, float]:
         above = x - floor
-        return floor + keep * above, give * above
+        kept = floor + keep * above
+        return (kept, give * above) if kept < x else (x, 0.0)
 
     return split
 
@@ -171,14 +176,11 @@ def step(state: ChargeState, g: Graph, cfg: DiffusionConfig) -> ChargeState:
     it records the receiver for the next frontier. Apart from the C-level
     copy, the round costs O(pushed arcs + frontier log frontier).
 
-    A uniform row (every share equal, as in any unweighted graph) gives
-    every arc the same receipt, ``sent * share``: one float, computed and
-    tested for zero once per sender, so each of its arcs costs one lookup,
-    one add and one store. :class:`~chargediff.graph.Graph` stores such a
-    row as one float object repeated, which is how the round recognises it
-    without comparing floats. Any other row, including a uniform one built
-    by hand from distinct objects, multiplies per arc. The receipts, and so
-    the bits, are the same either way.
+    A uniform row (one whose ``Graph.shares`` entry is not None, as in any
+    unweighted graph) gives every arc the same receipt, ``sent * share``:
+    one float, computed and tested for zero once per sender, so each of its
+    arcs costs one lookup, one add and one store. Any other row multiplies
+    per arc.
     """
     x = state.x
     eps = cfg.epsilon
@@ -194,13 +196,10 @@ def step(state: ChargeState, g: Graph, cfg: DiffusionConfig) -> ChargeState:
 
     risen = []
     get = new_x.get
-    targets, out_ratios = g.targets, g.out_ratios
+    targets, out_ratios, shares = g.targets, g.out_ratios, g.shares
     for j, sent in pushes:
-        ratios = out_ratios[j]
-        share = ratios[0]
-        # The identity test settles a mixed row without reading its floats;
-        # count confirms a uniform one (by identity, so also cheaply).
-        if share is ratios[-1] and ratios.count(share) == len(ratios):
+        share = shares[j]
+        if share is not None:
             amount = sent * share
             if amount != 0.0:
                 for t in targets[j]:
@@ -209,7 +208,7 @@ def step(state: ChargeState, g: Graph, cfg: DiffusionConfig) -> ChargeState:
                     if after > eps >= before:
                         risen.append(t)
         else:
-            for t, ratio in zip(targets[j], ratios):
+            for t, ratio in zip(targets[j], out_ratios[j]):
                 amount = sent * ratio
                 if amount != 0.0:
                     before = get(t, 0.0)

@@ -42,13 +42,9 @@ class MessageReport:
     """Totals from a run compared against the closed-form bounds."""
 
     total_messages: int
-    rounds: int
     peak_round_messages: int
-    message_bound: float | None
-    messages_within_bound: bool | None
-    touched: int | None
+    message_bound: int
     max_touched: int
-    touched_within_bound: bool | None
     violations: list[str]
 
 
@@ -144,46 +140,27 @@ def round_stats_table(stats: list[RoundStats]) -> str:
 
 
 def message_complexity_report(
-    stats: list[RoundStats],
-    bounds: Bounds,
-    d_max: int | None = None,
-    touched: int | None = None,
+    stats: list[RoundStats], bounds: Bounds, d_max: int, touched: int
 ) -> MessageReport:
     """Total up a run's messages and compare against the computed bounds.
 
-    The per-round message bound is rounds * d_max * max_core_size (at most
-    max_core_size transmitters per round, each with at most d_max out-edges);
-    it needs the graph's d_max to evaluate. ``touched`` enables the
-    touched-node comparison when the caller has the query result.
+    The message bound is rounds * d_max * max_core_size (at most
+    max_core_size transmitters per round, each with at most d_max
+    out-edges). ``touched`` is the run's touched-node count, held against
+    ``bounds.max_touched``. Each bound exceeded adds one line to
+    ``violations``.
     """
     total = sum(s.messages_sent for s in stats)
-    peak = max((s.messages_sent for s in stats), default=0)
+    message_bound = len(stats) * d_max * bounds.max_core_size
     violations: list[str] = []
-
-    message_bound = None
-    messages_ok = None
-    if d_max is not None:
-        message_bound = len(stats) * d_max * bounds.max_core_size
-        messages_ok = total <= message_bound
-        if not messages_ok:
-            violations.append(
-                f"messages {total} exceed rounds*d_max*max_core_size = {message_bound}"
-            )
-
-    touched_ok = None
-    if touched is not None:
-        touched_ok = touched <= bounds.max_touched
-        if not touched_ok:
-            violations.append(f"touched {touched} exceeds max_touched {bounds.max_touched}")
-
+    if total > message_bound:
+        violations.append(f"messages {total} exceed rounds*d_max*max_core_size = {message_bound}")
+    if touched > bounds.max_touched:
+        violations.append(f"touched {touched} exceeds max_touched {bounds.max_touched}")
     return MessageReport(
         total_messages=total,
-        rounds=len(stats),
-        peak_round_messages=peak,
+        peak_round_messages=max((s.messages_sent for s in stats), default=0),
         message_bound=message_bound,
-        messages_within_bound=messages_ok,
-        touched=touched,
         max_touched=bounds.max_touched,
-        touched_within_bound=touched_ok,
         violations=violations,
     )

@@ -27,43 +27,65 @@ class EdgeListError(ValueError):
 class Graph:
     """Graph of flat per-node rows, immutable after construction.
 
-    ``targets[i]`` is the tuple of node ``i``'s out-neighbor ids, ascending.
-    ``out_ratios[i][k]`` is the share of node ``i``'s total out-weight carried
-    by its arc to ``targets[i][k]``, rounded once from the exact rational
-    w / sum(w). Precomputing the ratio this way keeps trajectories identical
-    when all weights are rescaled by a common factor that the floats
-    represent exactly. A row whose shares are all equal repeats one float
-    object, so :func:`chargediff.diffusion.step` can tell it by identity.
-    ``weights[i][k]`` is that arc's weight as given; only
-    serialization and the dense baselines read it. ``degrees[i]`` is
-    ``len(targets[i])``.
+    ``targets[i]`` is the tuple of node ``i``'s out-neighbor ids, ascending,
+    and ``weights[i][k]`` the weight of its arc to ``targets[i][k]``, as
+    given. These four fields are the graph: equality and hashing read them
+    alone. The constructor derives the other rows from them, once per
+    weight-row object, so rows given as one shared tuple (the bulk parse
+    passes one per degree for unweighted text) share their derived rows:
+
+    - ``out_ratios[i][k]``, the share of node ``i``'s total out-weight
+      carried by its arc to ``targets[i][k]`` (see :func:`_ratio_row`);
+    - ``degrees[i]``, which is ``len(targets[i])``;
+    - ``shares[i]``, the share every arc of row ``i`` carries when all of
+      its ratios are equal (as in any unweighted graph), else None.
+      :func:`chargediff.diffusion.step` computes one receipt for such a row.
     """
 
     node_count: int
     directed: bool
     targets: tuple[tuple[int, ...], ...]
-    # Derived from targets and weights, so equality and hashing skip them.
-    out_ratios: tuple[tuple[float, ...], ...] = field(compare=False)
     weights: tuple[tuple[float, ...], ...]
-    degrees: tuple[int, ...] = field(compare=False)
+    out_ratios: tuple[tuple[float, ...], ...] = field(init=False, compare=False)
+    degrees: tuple[int, ...] = field(init=False, compare=False)
+    shares: tuple[float | None, ...] = field(init=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # Keyed by the row's id, so no row of floats is hashed (hashing every
+        # row made the 100k-node bulk parse about 15% slower). Equal rows
+        # given as distinct tuples are derived apart, to the same bits.
+        keys = list(map(id, self.weights))
+        ratio_of = {key: _ratio_row(row) for key, row in dict(zip(keys, self.weights)).items()}
+        share_of = {key: r[0] if r and r.count(r[0]) == len(r) else None for key, r in ratio_of.items()}
+        object.__setattr__(self, "out_ratios", tuple(map(ratio_of.__getitem__, keys)))
+        object.__setattr__(self, "degrees", tuple(map(len, self.targets)))
+        object.__setattr__(self, "shares", tuple(map(share_of.__getitem__, keys)))
 
     @property
     def arc_count(self) -> int:
-        """Number of stored arcs; for undirected graphs this is 2|E|."""
+        """Number of stored arcs; an undirected graph stores each self-loop once."""
         return sum(self.degrees)
 
     @property
     def edge_count(self) -> int:
-        """Number of edges in the input sense (arcs for directed input)."""
-        return self.arc_count if self.directed else self.arc_count // 2
+        """Number of edges in the input sense (arcs for directed input); a self-loop is one."""
+        if self.directed:
+            return self.arc_count
+        loops = sum(i in row for i, row in enumerate(self.targets))
+        return (self.arc_count + loops) // 2
 
 
 def _ratio_row(weights: Sequence[float]) -> tuple[float, ...]:
+    """Each weight's share of the row's total, rounded once from the exact w / sum(w).
+
+    Rounding the exact rational keeps trajectories identical when all
+    weights are rescaled by a common factor that the floats represent
+    exactly. Only :class:`Graph`'s constructor calls this.
+    """
     if not weights:
         return ()
     if len(set(weights)) == 1:
-        # Uniform weights cancel exactly; 1/d is the correctly rounded ratio,
-        # one float object repeated (see Graph).
+        # Uniform weights cancel exactly; 1/d is the correctly rounded ratio.
         return (1.0 / len(weights),) * len(weights)
     # Each weight is p/q with q a power of two, so over the largest q every
     # weight is an integer m; w / sum(w) is then m / sum(m), and int true
@@ -112,8 +134,7 @@ def from_edges(
             raise EdgeListError(f"duplicate edge ({i}, {v})")
         targets.append(row_targets)
         weights.append(row_weights)
-    out_ratios = tuple(map(_ratio_row, weights))
-    return Graph(n, directed, tuple(targets), out_ratios, tuple(weights), tuple(map(len, targets)))
+    return Graph(n, directed, tuple(targets), tuple(weights))
 
 
 def _read_edges(text: str, directed: bool) -> tuple[list[tuple[int, int, float]], set[int]]:
@@ -328,17 +349,12 @@ def _bulk_parse(text: str, directed: bool, relabel: bool) -> tuple[Graph, list[i
     degree_list = degrees.tolist()
     target_rows = _split_rows(targets.tolist(), degree_list)
     if weights is None:
-        # Unweighted rows of one degree share their weight and ratio tuples.
-        shared = {d: ((1.0,) * d, _ratio_row((1.0,) * d)) for d in set(degree_list)}
-        weight_rows = [shared[d][0] for d in degree_list]
-        ratio_rows = [shared[d][1] for d in degree_list]
+        # Unweighted rows of one degree share one weight tuple.
+        shared = {d: (1.0,) * d for d in set(degree_list)}
+        weight_rows = [shared[d] for d in degree_list]
     else:
         weight_rows = _split_rows(weights.tolist(), degree_list)
-        ratio_rows = list(map(_ratio_row, weight_rows))
-    g = Graph(
-        len(degree_list), directed, tuple(target_rows), tuple(ratio_rows), tuple(weight_rows), tuple(degree_list)
-    )
-    return g, labels.tolist()
+    return Graph(len(degree_list), directed, tuple(target_rows), tuple(weight_rows)), labels.tolist()
 
 
 def _split_rows(flat: list, lengths: list[int]) -> list[tuple]:

@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -8,8 +9,11 @@ from chargediff.diffusion import (
     Variant,
     excess_total,
     init_state,
+    splitter,
     step,
 )
+from chargediff.distsim import run_distributed
+from chargediff.engine import run_query
 from chargediff.generators import complete_graph, path_graph, star
 from chargediff.graph import from_edges
 
@@ -213,3 +217,46 @@ def test_charges_stay_finite_and_conserved_with_self_loop():
         state = step(state, g, cfg)
         assert math.isfinite(sum(state.x.values()))
         assert abs(sum(state.x.values()) - 1.0) <= 1e-12
+
+
+# Configs whose kept share rounds back to the whole charge: EXCESS just above
+# epsilon, and an alpha so small that 1 - alpha == 1.0.
+NEAR_EPS = DiffusionConfig(alpha=0.2, epsilon=0.1, variant=Variant.EXCESS, delta=1e-3)
+TINY_ALPHA = DiffusionConfig(alpha=1e-17, epsilon=0.1)
+
+
+@pytest.mark.parametrize(
+    "cfg,x",
+    [
+        (NEAR_EPS, math.nextafter(0.1, 1.0)),
+        (NEAR_EPS, math.nextafter(math.nextafter(0.1, 1.0), 1.0)),
+        (TINY_ALPHA, 1.0),
+        (TINY_ALPHA, 0.3),
+    ],
+)
+def test_a_sender_that_keeps_its_charge_sends_nothing(cfg, x):
+    # Unmended, these kept x and sent 2.8e-18, 5.6e-18, 1e-17 and 3e-18.
+    assert splitter(cfg)(x) == (x, 0.0)
+
+
+@pytest.mark.parametrize(
+    "g,cfg",
+    [
+        # Nodes settle 2 ulps above epsilon, where the split keeps x.
+        (from_edges([(0, 1, 1.0), (0, 3, 1.0), (2, 1, 1.0), (2, 4, 1.0), (3, 0, 1.0), (3, 1, 1.0),
+                     (3, 4, 1.0), (4, 0, 1.0), (4, 1, 1.0), (4, 2, 1.0), (4, 3, 1.0)], directed=True),
+         NEAR_EPS),
+        (complete_graph(3), TINY_ALPHA),
+    ],
+)
+def test_runs_that_keep_whole_charges_repeat_and_jump_to_the_cap(g, cfg):
+    # Unmended, each send made charge that the receivers kept, so the vector
+    # never repeated and the run played all 1M capped rounds, for seconds.
+    start = time.perf_counter()
+    result = run_query(g, 0, cfg)
+    assert time.perf_counter() - start < 1.0
+    assert not result.terminated and result.iterations == cfg.max_iterations
+    assert abs(sum(result.final_charges.values()) - 1.0) <= 1e-12
+    simulated, rows = run_distributed(g, 0, cfg)
+    assert simulated == result
+    assert len(rows) == cfg.max_iterations

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -158,18 +159,32 @@ def test_message_report_star():
         stats, bounds, d_max=max_degree(STAR), touched=result.touched
     )
     assert report.total_messages == 40
-    assert report.rounds == 4
     assert report.peak_round_messages == 10
-    assert report.messages_within_bound
-    assert report.touched_within_bound
+    # Four rounds of at most 20 senders of at most 10 arcs.
+    assert report.message_bound == 4 * 10 * 20
+    assert report.max_touched == bounds.max_touched
     assert report.violations == []
 
 
 def test_message_report_empty_stats():
     bounds = compute_bounds(STAR, STAR_CFG)
-    report = message_complexity_report([], bounds)
+    report = message_complexity_report([], bounds, d_max=10, touched=1)
     assert report.total_messages == 0
-    assert report.rounds == 0
     assert report.peak_round_messages == 0
-    assert report.messages_within_bound is None
-    assert report.touched_within_bound is None
+    assert report.message_bound == 0
+    assert report.violations == []
+
+
+def test_message_report_names_each_bound_exceeded():
+    result, stats = run_distributed(STAR, 0, STAR_CFG)
+    bounds = replace(compute_bounds(STAR, STAR_CFG), max_core_size=0, max_touched=5)
+    report = message_complexity_report(stats, bounds, d_max=max_degree(STAR), touched=result.touched)
+    assert result.touched == 11
+    assert report.violations == [
+        "messages 40 exceed rounds*d_max*max_core_size = 0",
+        "touched 11 exceeds max_touched 5",
+    ]
+    # One bound at a time names only that one.
+    bounds = replace(bounds, max_touched=11)
+    report = message_complexity_report(stats, bounds, d_max=max_degree(STAR), touched=result.touched)
+    assert report.violations == ["messages 40 exceed rounds*d_max*max_core_size = 0"]

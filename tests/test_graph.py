@@ -1,10 +1,14 @@
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chargediff.diffusion import DiffusionConfig, Variant, init_state, step
+from chargediff.generators import complete_graph
 from chargediff.graph import (
     EdgeListError,
+    Graph,
     _ratio_row,
     from_edges,
     max_degree,
@@ -114,6 +118,15 @@ def test_degree_sum_is_twice_edge_count():
     assert sum(g.degrees) == 2 * g.edge_count == g.arc_count
 
 
+def test_undirected_self_loops_count_as_edges():
+    # Each loop is one stored arc, each other edge two.
+    g = parse_edge_list("0 0\n0 1\n1 2\n2 2")
+    assert g.arc_count == 6
+    assert g.edge_count == 4
+    assert parse_edge_list("0 0\n0 1\n1 2\n2 2", directed=True).edge_count == 4
+    assert parse_edge_list("3 3").edge_count == 1
+
+
 @pytest.mark.parametrize(
     "text,directed",
     [
@@ -189,3 +202,44 @@ def test_graphs_compare_and_hash_by_rows_and_weights():
     assert same == g and hash(same) == hash(g)
     assert parse_edge_list("0 1 2.5\n1 2 0.25") != g
     assert parse_edge_list("0 1 2.5\n1 2 0.125", directed=True) != g
+
+
+def test_shares_mark_rows_of_equal_ratios():
+    g = parse_edge_list("0 1 2.5\n0 2 2.5\n1 2 1\n1 3 2\n4 4 0.5", directed=True)
+    assert g.shares == (0.5, None, None, None, 1.0)
+    # Rows given as one tuple share their derived row; equal rows given as
+    # distinct tuples get equal ones.
+    row, twin = (3.0, 3.0), tuple(float(s) for s in ("3.0", "3.0"))
+    g = Graph(4, True, ((1, 2), (0, 2), (0, 1), ()), (row, row, twin, ()))
+    assert g.out_ratios[0] is g.out_ratios[1]
+    assert g.out_ratios[2] == g.out_ratios[0] and g.shares == (0.5, 0.5, 0.5, None)
+
+
+def test_hand_built_graph_derives_the_rows_of_from_edges():
+    edges = [(0, 1, 0.5), (0, 2, 0.25), (1, 2, 3.0), (2, 2, 1.0), (2, 3, 1.0)]
+    g = from_edges(edges, directed=True, node_count=5)
+    # Equal weights as distinct objects, so nothing rests on float identity.
+    one = [float(s) for s in ("1.0", "1.0")]
+    assert one[0] is not one[1]
+    hand = Graph(5, True, ((1, 2), (2,), (2, 3), (), ()), ((0.5, 0.25), (3.0,), tuple(one), (), ()))
+    assert hand == g and hash(hand) == hash(g)
+    for a, b in ((hand, g), (g, hand)):
+        assert [[r.hex() for r in row] for row in a.out_ratios] == [[r.hex() for r in row] for row in b.out_ratios]
+        assert a.degrees == b.degrees == (2, 1, 2, 0, 0)
+        assert a.shares == b.shares == (None, 1.0, 0.5, None, None)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [complete_graph(5), parse_edge_list("0 1 2.5\n0 2 2.5\n1 2 1\n1 3 2\n2 3 0.75\n3 3 4")],
+)
+def test_pickled_graph_keeps_shares_and_step_bits(g):
+    copy = pickle.loads(pickle.dumps(g))
+    assert copy == g
+    assert copy.shares == g.shares
+    assert copy.degrees == g.degrees and copy.out_ratios == g.out_ratios
+    cfg = DiffusionConfig(alpha=0.4, epsilon=0.05, variant=Variant.EXCESS, delta=1e-3)
+    a, b = init_state(g, 0), init_state(copy, 0)
+    for _ in range(10):
+        a, b = step(a, g, cfg), step(b, copy, cfg)
+        assert [(i, xi.hex()) for i, xi in a.x.items()] == [(i, xi.hex()) for i, xi in b.x.items()]

@@ -76,21 +76,17 @@ def reference_step(state: ChargeState, g, cfg: DiffusionConfig) -> ChargeState:
         sending = sorted(j for j, xj in x.items() if xj > eps and g.degrees[j] > 0)
     sending_set = set(sending)
 
-    def send_total(x_j):
+    def split(x_j):
         if cfg.variant is Variant.EXCESS:
-            return alpha * (x_j - eps)
-        return alpha * x_j
-
-    def retained_after_send(x_i, emits):
-        if not emits:
-            return x_i
-        if cfg.variant is Variant.EXCESS:
-            return eps + (1.0 - alpha) * (x_i - eps)
-        return (1.0 - alpha) * x_i
+            kept, sent = eps + (1.0 - alpha) * (x_j - eps), alpha * (x_j - eps)
+        else:
+            kept, sent = (1.0 - alpha) * x_j, alpha * x_j
+        # A node that would keep all of x_j sends nothing, or charge would grow.
+        return (x_j, 0.0) if kept == x_j else (kept, sent)
 
     inbox: dict[int, list[float]] = {}
     for j in sending:
-        amount_total = send_total(x.get(j, 0.0))
+        amount_total = split(x.get(j, 0.0))[1]
         targets = g.targets[j]
         ratios = g.out_ratios[j]
         for k in range(len(targets)):
@@ -98,7 +94,7 @@ def reference_step(state: ChargeState, g, cfg: DiffusionConfig) -> ChargeState:
             if amount != 0.0:
                 inbox.setdefault(targets[k], []).append(amount)
 
-    new_x = {i: retained_after_send(xi, i in sending_set) for i, xi in x.items()}
+    new_x = {i: split(xi)[0] if i in sending_set else xi for i, xi in x.items()}
     for i, amounts in inbox.items():
         acc = new_x.get(i, 0.0)
         for amount in amounts:
@@ -170,16 +166,40 @@ def test_uniform_rows_match_reference_round_bit_for_bit():
     ):
         step_like_reference(g, cfg, {0: 0.5, 1: 0.2, 3: 0.3}, 12)
 
-    # Rows built by hand: node 0's row has one object at both ends but
-    # another share between them; node 1's shares are equal but distinct
-    # objects. Both must give the reference's receipts.
-    quarter = 0.25
-    third = tuple(float(s) for s in ("0.3333333333333333",) * 3)
-    assert third[0] is not third[1]
-    g = Graph(4, True, ((1, 2, 3), (0, 2, 3), (0,), (1,)),
-              ((quarter, 0.5, quarter), third, (1.0,), (1.0,)),
-              ((1.0, 2.0, 1.0), (1.0, 1.0, 1.0), (1.0,), (1.0,)), (3, 3, 1, 1))
+    # Rows built by hand: node 0's row has equal ratios at both ends but
+    # another between them; node 1's weights are equal but distinct objects.
+    # The constructor derives each row's share from its ratios alone.
+    one = tuple(float(s) for s in ("1.0",) * 3)
+    assert one[0] is not one[1]
+    g = Graph(4, True, ((1, 2, 3), (0, 2, 3), (0,), (1,)), ((1.0, 2.0, 1.0), one, (1.0,), (1.0,)))
+    assert g.out_ratios[0] == (0.25, 0.5, 0.25)
+    assert g.shares == (None, 1 / 3, 1.0, 1.0)
     step_like_reference(g, DiffusionConfig(alpha=0.5, epsilon=0.05), {0: 0.6, 1: 0.4}, 6)
+
+
+def test_distinct_weights_of_equal_ratios_take_one_receipt():
+    # Four weights, one an ulp above the rest: every ratio still rounds to
+    # 0.25, so the row is uniform. Weights (1.0, 1.0000000000000002) are
+    # not: their ratios are 0.49999999999999994 and 0.5.
+    w = [(0, 1, 3.0), (0, 2, 3.0), (0, 3, 3.0), (0, 4, math.nextafter(3.0, 4.0)),
+         (1, 0, 1.0), (1, 2, math.nextafter(1.0, 2.0))]
+    g = from_edges(w, directed=True)
+    assert g.out_ratios[0] == (0.25,) * 4 and g.shares[0] == 0.25
+    assert g.out_ratios[1] == (0.49999999999999994, 0.5) and g.shares[1] is None
+    # A uniform row's share is all a round reads of it: with its ratio row
+    # hidden, the round still gives the reference's bits and key order.
+    hidden = Graph(g.node_count, g.directed, g.targets, g.weights)
+    object.__setattr__(hidden, "out_ratios", (None,) + g.out_ratios[1:])
+    for cfg in (
+        DiffusionConfig(alpha=0.4, epsilon=0.05),
+        DiffusionConfig(alpha=0.4, epsilon=0.05, variant=Variant.EXCESS, delta=5e-4),
+        DiffusionConfig(variant=Variant.LAZY_WALK),
+    ):
+        state = ChargeState(x={0: 0.7, 1: 0.3}, t=0, ever_active=set(), seed=0)
+        ref = ChargeState(x={0: 0.7, 1: 0.3}, t=0, ever_active=set(), seed=0)
+        for _ in range(8):
+            state, ref = step(state, hidden, cfg), reference_step(ref, g, cfg)
+            assert bits(state.x) == bits(ref.x)
 
 
 @given(
