@@ -71,10 +71,10 @@ def main() -> None:
     print()
     charges_identical = res.final_charges == res2.final_charges
     ppr_drift = max(
-        abs(ppr1[i] - ppr0[i]) / ppr0[i] for i in range(CLIQUE) if ppr0[i] > 0
+        abs(ppr1.get(i, 0.0) - ppr0[i]) / ppr0[i] for i in range(CLIQUE) if ppr0.get(i, 0.0) > 0
     )
-    mass0 = sum(ppr0[i] for i in range(CLIQUE))
-    mass1 = sum(ppr1[i] for i in range(CLIQUE))
+    mass0 = sum(ppr0.get(i, 0.0) for i in range(CLIQUE))
+    mass1 = sum(ppr1.get(i, 0.0) for i in range(CLIQUE))
     print(f"diffusion final charges bitwise identical after the edit: {charges_identical}")
     print(f"largest relative pagerank score drift in the seed clique: {ppr_drift:.2e}")
     print(f"pagerank mass on the seed clique: {mass0:.4f} -> {mass1:.4f} "

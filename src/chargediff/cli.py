@@ -19,6 +19,7 @@ import argparse
 import json
 import sys
 
+from . import baselines
 from .diffusion import DiffusionConfig, Variant
 from .engine import ConfigError, compute_bounds, run_query, top_k, validate_config
 from .graph import EdgeListError, Graph, max_degree, parse_edge_list_relabeled
@@ -277,11 +278,11 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    # Imported here because baselines needs numpy, which no other subcommand loads.
-    from . import baselines
-
     graph, labels, cfg, seed, warnings = _prepare_query(args)
     _check_k(args.k)
+    # Same check and message as personalized_pagerank, made before the query.
+    if not 0.0 < args.teleport < 1.0:
+        raise ConfigError(f"teleport must be in (0, 1), got {args.teleport}")
     result = run_query(graph, seed, cfg)
     diffusion_top = top_k(result, args.k, include_seed=args.include_seed)
 

@@ -57,26 +57,6 @@ class Bounds:
     excess_stop_bound: float
 
 
-@dataclass
-class PeripheryReport:
-    """Where the final charge sits relative to the ever-active set.
-
-    ``halo`` is the one-hop out-neighborhood of the ever-active set H.
-    ``stray_charged`` lists charged nodes outside H and its halo (always
-    empty for a correct run). ``within_epsilon`` records the guaranteed
-    bound charge <= epsilon on halo nodes; ``within_retained_floor`` records
-    the stronger charge < epsilon * (1 - alpha) claim, which close fixtures
-    like a star violate, so it is reported rather than asserted.
-    """
-
-    halo: list[int]
-    stray_charged: list[int]
-    outside_zero: bool
-    max_halo_charge: float
-    within_epsilon: bool
-    within_retained_floor: bool
-
-
 def validate_config(g: Graph, cfg: DiffusionConfig) -> list[str]:
     """Range-check a config and return termination warnings.
 
@@ -287,63 +267,3 @@ def compute_bounds(g: Graph, cfg: DiffusionConfig) -> Bounds:
         excess_stop_bound=stop_bound,
     )
 
-
-def halo_of(g: Graph, nodes: set[int]) -> set[int]:
-    """Out-neighbors of ``nodes`` that are not themselves members."""
-    halo: set[int] = set()
-    for i in nodes:
-        for j in g.targets[i]:
-            if j not in nodes:
-                halo.add(j)
-    return halo
-
-
-def nn_subgraph_connected(g: Graph, result: QueryResult) -> bool:
-    """Whether the subgraph induced by nn_set plus the seed is connected.
-
-    Edge directions are ignored for the connectivity check.
-    """
-    nodes = set(result.nn_set) | {result.seed}
-    undirected: dict[int, set[int]] = {i: set() for i in nodes}
-    for i in nodes:
-        for j in g.targets[i]:
-            if j in nodes:
-                undirected[i].add(j)
-                undirected[j].add(i)
-    start = result.seed
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        i = frontier.pop()
-        for j in undirected[i]:
-            if j not in seen:
-                seen.add(j)
-                frontier.append(j)
-    return seen == nodes
-
-
-def periphery_check(g: Graph, result: QueryResult, cfg: DiffusionConfig) -> PeripheryReport:
-    """Audit where the final charge ended up, relative to the active core.
-
-    Requires a terminated run. Checks that every charged node outside the
-    ever-active set H lies in its one-hop halo, that everything beyond the
-    halo holds exactly zero charge, and records the halo's maximum charge
-    against both the guaranteed epsilon bound and the stricter
-    epsilon * (1 - alpha) figure.
-    """
-    if not result.terminated:
-        raise ValueError("periphery check requires a terminated run")
-    core = set(result.nn_set)
-    halo = halo_of(g, core)
-    charged = set(result.final_charges)
-    stray = sorted(charged - core - halo)
-    halo_charges = [result.final_charges.get(i, 0.0) for i in halo]
-    max_halo = max(halo_charges, default=0.0)
-    return PeripheryReport(
-        halo=sorted(halo),
-        stray_charged=stray,
-        outside_zero=not stray,
-        max_halo_charge=max_halo,
-        within_epsilon=max_halo <= cfg.epsilon,
-        within_retained_floor=max_halo < cfg.epsilon * (1.0 - cfg.alpha),
-    )

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from chargediff.baselines import lazy_walk_matrix_power, oracle_step
 from chargediff.diffusion import (
     ChargeState,
     DiffusionConfig,
@@ -27,9 +26,6 @@ from chargediff.distsim import RoundStats, run_distributed
 from chargediff.engine import (
     QueryResult,
     compute_bounds,
-    halo_of,
-    nn_subgraph_connected,
-    periphery_check,
     run_query,
     should_stop,
     top_k,
@@ -43,6 +39,13 @@ from chargediff.generators import (
     two_cliques,
 )
 from chargediff.graph import Graph, from_edges
+from oracles import (
+    halo_of,
+    lazy_walk_matrix_power,
+    nn_subgraph_connected,
+    oracle_step,
+    periphery_check,
+)
 
 SUITE_SEED = 20250809
 N_RUNS = 500

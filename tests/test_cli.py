@@ -109,6 +109,21 @@ def test_bad_k_exits_1_before_the_query(capsys, monkeypatch, triangle_file, comm
     assert "iteration cap" not in err
 
 
+@pytest.mark.parametrize("teleport", ["1.5", "0"])
+def test_bad_teleport_exits_1_before_the_query(capsys, monkeypatch, triangle_file, teleport):
+    def no_query(*args):
+        raise AssertionError("the query ran")
+
+    monkeypatch.setattr(cli, "run_query", no_query)
+    code, out, err = run_cli(
+        capsys, "compare", "--graph", triangle_file, "--seed", "0", "--teleport", teleport
+    )
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[-1] == f"error: teleport must be in (0, 1), got {float(teleport)}"
+    assert "iteration cap" not in err
+
+
 def test_usage_error_exits_1(capsys, star_file):
     code, _, _ = run_cli(capsys, "knn", "--graph", star_file)  # seed missing
     assert code == 1
@@ -282,6 +297,17 @@ def test_compare_two_clique_locality(capsys, tmp_path):
     assert all(node < 10 for node in doc["diffusion_top"])
 
 
+def test_compare_runs_above_desk_scale(capsys, tmp_path):
+    # A 3000-node binary tree: pagerank works on the graph's rows at any size.
+    path = tmp_path / "tree.edges"
+    path.write_text("".join(f"{(i - 1) // 2} {i}\n" for i in range(1, 3000)))
+    code, out, err = run_cli(capsys, "compare", "--graph", str(path), "--seed", "0")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["ppr_converged"] is True
+    assert len(doc["pagerank_top"]) == 10
+
+
 def test_module_entry_point_runs(star_file):
     proc = subprocess.run(
         [sys.executable, "-m", "chargediff", "knn", "--graph", star_file,
@@ -298,14 +324,29 @@ def run_child(*argv):
     )
 
 
-@pytest.mark.parametrize("command, numpy_loaded", [("knn", False), ("compare", True)])
-def test_child_process_matches_in_process(capsys, star_file, command, numpy_loaded):
+@pytest.mark.parametrize("command", ["knn", "compare"])
+def test_child_process_matches_in_process(capsys, star_file, command):
     argv = (command, "--graph", star_file, "--seed", "0", "--epsilon", "0.1", "--k", "3")
     proc = run_child(*argv)
     code, out, err = run_cli(capsys, *argv)
     assert proc.returncode == code == 0
     assert proc.stdout == out
-    assert proc.stderr == err + f"numpy loaded: {numpy_loaded}\ndistsim loaded: False\n"
+    assert proc.stderr == err + "numpy loaded: False\ndistsim loaded: False\n"
+
+
+def test_package_imports_without_numpy():
+    # numpy is loaded only by the bulk parse of a large edge list.
+    code = (
+        "import importlib, pkgutil, sys, chargediff\n"
+        "for m in pkgutil.iter_modules(chargediff.__path__):\n"
+        "    importlib.import_module(f'chargediff.{m.name}')\n"
+        "    print(m.name, 'numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV)
+    assert proc.returncode == 0, proc.stderr
+    loaded = dict(line.split() for line in proc.stdout.splitlines())
+    assert {"baselines", "cli", "engine", "graph"} <= loaded.keys()
+    assert set(loaded.values()) == {"False"}
 
 
 @pytest.mark.parametrize("command", ["knn", "simulate"])

@@ -8,14 +8,13 @@ from chargediff.engine import (
     ConfigError,
     build_result,
     compute_bounds,
-    nn_subgraph_connected,
-    periphery_check,
     run_query,
     top_k,
     validate_config,
 )
 from chargediff.generators import complete_graph, path_graph, star
 from chargediff.graph import from_edges
+from oracles import nn_subgraph_connected, periphery_check
 
 STAR = star(10)
 STAR_CFG = DiffusionConfig(alpha=0.5, epsilon=0.1)
