@@ -16,6 +16,7 @@ included in the report.
 from __future__ import annotations
 
 import argparse
+import bisect
 import json
 import sys
 
@@ -77,10 +78,11 @@ def _make_config(args) -> DiffusionConfig:
 
 
 def _dense_seed(args, labels: list[int]) -> int:
-    try:
-        return labels.index(args.seed)
-    except ValueError:
-        raise ConfigError(f"seed {args.seed} is not a node of {args.graph}") from None
+    # Both parses return the labels ascending, so a binary search finds the seed.
+    i = bisect.bisect_left(labels, args.seed)
+    if i == len(labels) or labels[i] != args.seed:
+        raise ConfigError(f"seed {args.seed} is not a node of {args.graph}")
+    return i
 
 
 def _prepare_query(args) -> tuple[Graph, list[int], DiffusionConfig, int, list[str]]:

@@ -18,9 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .graph import Graph
+
+if TYPE_CHECKING:
+    from .csr import Charges
 
 
 class Variant(Enum):
@@ -58,35 +61,52 @@ class DiffusionConfig:
 
 @dataclass
 class ChargeState:
-    """Charge vector at one iteration, sparse over nonzero nodes.
+    """Charge vector at one iteration, sparse over the nodes that got charge.
+
+    ``x`` maps node ids to charges: a dict in the dict round, and
+    :class:`chargediff.csr.Charges`, a pair of arrays, in the numpy round
+    that graphs with CSR arrays play (see :func:`step`). Only the bulk parse
+    of a large edge list builds such graphs; small ones keep dicts, since
+    the numpy import alone costs 0.18-0.26 s per process. Either kind holds
+    every id that has held or received charge, zero charges included, with
+    the same bits, and compares by ``==`` in O(touched), so the run loop's
+    repeat test builds no dict. The excess total of ``Charges`` is
+    ``np.cumsum(...)[-1]``, which adds left to right as the dict's
+    ``sum()`` does. :func:`init_state` starts a dict on any graph, and the
+    numpy round reads a dict state and returns ``Charges``.
 
     ``ever_active`` accumulates every node that has satisfied the activity
     predicate at any observed iteration, including the current one; at the end
     of a run it is the nearest-neighbor candidate set.
 
-    ``frontier`` lists the ids whose charge is above epsilon, ascending: the
-    active nodes, at most 1/((1-alpha)*epsilon) of them. :func:`init_state`
-    and :meth:`advance` carry it from round to round, so no per-round reader
-    scans ``x``; a round costs O(pushed arcs + frontier log frontier) plus
-    the C-level ``dict(x)`` copy that keeps each state a snapshot. A state
-    built by hand leaves it unset and :meth:`active` derives it from ``x``
-    on first use.
+    ``frontier`` holds the ids whose charge is above epsilon, ascending: the
+    active nodes, at most 1/((1-alpha)*epsilon) of them. Its kind follows
+    ``x``: a list beside a dict, an int64 array beside ``Charges``, so each
+    round reads it without a conversion. :func:`init_state` and each round
+    set it, so no per-round reader scans ``x``; a dict round costs
+    O(pushed arcs + frontier log frontier) plus the C-level ``dict(x)``
+    copy that keeps each state a snapshot. A state built by hand leaves it
+    unset and :meth:`active` derives it from ``x`` on first use.
     """
 
-    x: dict[int, float]
+    x: dict[int, float] | Charges
     t: int
     ever_active: set[int]
     seed: int
-    frontier: list[int] | None = field(default=None, repr=False, compare=False)
+    frontier: Sequence[int] | None = field(default=None, repr=False, compare=False)
 
-    def active(self, epsilon: float) -> list[int]:
+    def active(self, epsilon: float) -> Sequence[int]:
         """Ids whose charge is above ``epsilon``, ascending.
 
         Once set, the frontier answers for the epsilon it was built with, so
         a state is read with the config it is stepped with.
         """
         if self.frontier is None:
-            self.frontier = sorted(i for i, xi in self.x.items() if xi > epsilon)
+            x = self.x
+            if isinstance(x, dict):
+                self.frontier = sorted(i for i, xi in x.items() if xi > epsilon)
+            else:
+                self.frontier = x.above(epsilon)
         return self.frontier
 
     def advance(self, x: dict[int, float], epsilon: float, risen: list[int]) -> ChargeState:
@@ -111,11 +131,17 @@ class ChargeState:
 
 
 def init_state(g: Graph, seed: int) -> ChargeState:
-    """Unit charge on ``seed``, zero elsewhere, at iteration 0."""
+    """Unit charge on ``seed``, zero elsewhere, at iteration 0, as a dict state on any graph."""
     if not 0 <= seed < g.node_count:
         raise ValueError(f"seed {seed} out of range for graph with {g.node_count} nodes")
     # Unit charge exceeds any valid epsilon < 1, so the seed starts active.
     return ChargeState(x={seed: 1.0}, t=0, ever_active={seed}, seed=seed, frontier=[seed])
+
+
+def split_terms(cfg: DiffusionConfig) -> tuple[float, float, float]:
+    """``(floor, keep, give)`` of the variant's split; see :func:`splitter`."""
+    floor = cfg.epsilon if cfg.variant is Variant.EXCESS else 0.0
+    return floor, 1.0 - cfg.alpha, cfg.alpha
 
 
 def splitter(cfg: DiffusionConfig) -> Callable[[float], tuple[float, float]]:
@@ -124,16 +150,16 @@ def splitter(cfg: DiffusionConfig) -> Callable[[float], tuple[float, float]]:
     RETENTION and LAZY_WALK: keep (1-alpha) * x and send alpha * x. EXCESS:
     only the excess over epsilon is split, so keep epsilon + (1-alpha) *
     (x - epsilon) and send alpha * (x - epsilon). The constants are fixed
-    once per config; for the first two rules the floor is 0.0, whose
-    subtraction and addition change no bit of a charge x >= 0. The
-    engine's round and the simulator's round both split through this.
+    once per config (:func:`split_terms`); for the first two rules the
+    floor is 0.0, whose subtraction and addition change no bit of a charge
+    x >= 0. The dict round and the simulator's round split through this,
+    and the numpy round applies the same formula to arrays.
 
     When the kept share rounds back to x itself (an EXCESS charge a few
     ulps above epsilon, or alpha so small that 1 - alpha == 1.0), the node
     keeps x and sends 0.0: sending anything would create charge.
     """
-    floor = cfg.epsilon if cfg.variant is Variant.EXCESS else 0.0
-    keep, give = 1.0 - cfg.alpha, cfg.alpha
+    floor, keep, give = split_terms(cfg)
 
     def split(x: float) -> tuple[float, float]:
         above = x - floor
@@ -143,18 +169,24 @@ def splitter(cfg: DiffusionConfig) -> Callable[[float], tuple[float, float]]:
     return split
 
 
-def emitters(state: ChargeState, g: Graph, cfg: DiffusionConfig) -> list[int]:
+def emitters(state: ChargeState, g: Graph, cfg: DiffusionConfig) -> Sequence[int]:
     """Ids that transmit this round, ascending.
 
     RETENTION and EXCESS: the frontier's nodes that have out-edges, in
-    O(frontier). A stuck active node (no out-edges) holds its charge and
-    sends nothing. LAZY_WALK: every node with out-edges transmits,
-    zero-charge nodes included, so it costs O(n).
+    O(frontier), as a list or, beside ``Charges``, an int64 array. A stuck
+    active node (no out-edges) holds its charge and sends nothing.
+    LAZY_WALK: every node with out-edges transmits, zero-charge nodes
+    included, so it costs O(n); on a graph with CSR rows it is an array.
     """
     if cfg.variant is Variant.LAZY_WALK:
+        if g.csr is not None:
+            return g.csr.rows_with_arcs()
         return [j for j in range(g.node_count) if g.degrees[j] > 0]
-    degrees = g.degrees
-    return [j for j in state.active(cfg.epsilon) if degrees[j] > 0]
+    frontier = state.active(cfg.epsilon)
+    if isinstance(frontier, list):
+        degrees = g.degrees
+        return [j for j in frontier if degrees[j] > 0]
+    return g.csr.senders(frontier)
 
 
 def step(state: ChargeState, g: Graph, cfg: DiffusionConfig) -> ChargeState:
@@ -167,27 +199,44 @@ def step(state: ChargeState, g: Graph, cfg: DiffusionConfig) -> ChargeState:
     the retention rule with alpha = 1/2 and epsilon = 0, where every node
     counts as active. Inactive and stuck nodes keep everything.
 
-    The round is one pass over the pushed arcs. The new vector starts as a
-    copy of ``x`` with every sender's retained share written in (before any
-    receipt, since a sender can also receive); receipts then fold straight
-    into it, walking senders in ascending id order, so each receiver adds
-    its receipts to its retained charge (or to 0.0) in ascending sender
-    order. A receipt that lifts its receiver from at most epsilon to above
-    it records the receiver for the next frontier. Apart from the C-level
-    copy, the round costs O(pushed arcs + frontier log frontier).
+    The graph picks one of two rounds with the same bits. A graph with CSR
+    rows (``g.csr``, which the bulk parse of a large edge list keeps) plays
+    :meth:`chargediff.csr.Csr.play` in numpy and returns a state of
+    :class:`chargediff.csr.Charges`. That round folds receipts with
+    ``np.add.at``, which adds in index order, so in ascending sender order
+    as below, and its states sum their excess with ``np.cumsum`` (not the
+    pairwise ``np.sum``), so every bit matches. It costs a fixed 25-50 us
+    plus about 40 ns per pushed arc, where the dict round costs about
+    0.25 us per arc: they break even near 150 arcs per round (Python 3.11,
+    numpy 2.4). Any other graph, such as a small file that should not pay
+    the 0.18-0.26 s numpy import, plays the dict round.
 
-    A uniform row (one whose ``Graph.shares`` entry is not None, as in any
-    unweighted graph) gives every arc the same receipt, ``sent * share``:
-    one float, computed and tested for zero once per sender, so each of its
-    arcs costs one lookup, one add and one store. Any other row multiplies
-    per arc.
+    The dict round is one pass over the pushed arcs. The new vector starts
+    as a copy of ``x`` with every sender's retained share written in (before
+    any receipt, since a sender can also receive); receipts ``sent * ratio``
+    then fold straight into it, walking senders in ascending id order, so
+    each receiver adds its receipts to its retained charge (or to 0.0) in
+    ascending sender order. A zero receipt adds no key. A receipt that
+    lifts its receiver from at most epsilon to above it records the
+    receiver for the next frontier. Apart from the C-level copy, the round
+    costs O(pushed arcs + frontier log frontier).
     """
+    senders = emitters(state, g, cfg)
     x = state.x
     eps = cfg.epsilon
+    if g.csr is not None:
+        charges, frontier, risen = g.csr.play(x, senders, split_terms(cfg), eps)
+        # An id above eps after a round was above it before or has risen. A
+        # state this round returned has its frontier in ever_active, so only
+        # the risen ids are new; a dict state (the first round, or one built
+        # by hand) adds the whole new frontier, as the dict round does.
+        state.ever_active.update(frontier.tolist() if isinstance(x, dict) else risen)
+        return ChargeState(charges, state.t + 1, state.ever_active, state.seed, frontier)
+
     split = splitter(cfg)
     new_x = dict(x)
     pushes = []
-    for j in emitters(state, g, cfg):
+    for j in senders:
         xj = x.get(j)
         # A zero-charge LAZY_WALK sender keeps and sends nothing, and gets no key.
         if xj is not None:
@@ -196,34 +245,27 @@ def step(state: ChargeState, g: Graph, cfg: DiffusionConfig) -> ChargeState:
 
     risen = []
     get = new_x.get
-    targets, out_ratios, shares = g.targets, g.out_ratios, g.shares
+    targets, out_ratios = g.targets, g.out_ratios
     for j, sent in pushes:
-        share = shares[j]
-        if share is not None:
-            amount = sent * share
+        for t, ratio in zip(targets[j], out_ratios[j]):
+            amount = sent * ratio
             if amount != 0.0:
-                for t in targets[j]:
-                    before = get(t, 0.0)
-                    after = new_x[t] = before + amount
-                    if after > eps >= before:
-                        risen.append(t)
-        else:
-            for t, ratio in zip(targets[j], out_ratios[j]):
-                amount = sent * ratio
-                if amount != 0.0:
-                    before = get(t, 0.0)
-                    after = new_x[t] = before + amount
-                    if after > eps >= before:
-                        risen.append(t)
+                before = get(t, 0.0)
+                after = new_x[t] = before + amount
+                if after > eps >= before:
+                    risen.append(t)
     return state.advance(new_x, eps, risen)
 
 
 def excess_total(state: ChargeState, cfg: DiffusionConfig) -> float:
     """Sum of max(x_i - epsilon, 0) over the current state.
 
-    Terms are summed over the frontier, in ascending id order. Nodes at or
-    below the threshold would add an exact +0.0, which leaves the sum
+    Terms are summed over the frontier, in ascending id order, left to
+    right (:meth:`chargediff.csr.Charges.excess` for array states). Nodes
+    at or below the threshold would add an exact +0.0, which leaves the sum
     unchanged, so they are skipped.
     """
     x, eps = state.x, cfg.epsilon
+    if not isinstance(x, dict):
+        return x.excess(eps)
     return sum([x[i] - eps for i in state.active(eps)], 0.0)

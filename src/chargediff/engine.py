@@ -132,13 +132,17 @@ def build_result(
     Shared with the distributed simulator so both paths derive rankings and
     counts identically.
 
-    ``final`` is built in ascending id order, and the ranking sorts its
-    items by charge alone with a C-level key. Python's sort is stable, and
-    ``reverse=True`` keeps it stable (equal items stay in input order), so
-    nodes of equal charge stay in ascending id order: the same ranking as
-    a sort on ``(-charge, id)``.
+    ``final`` is built in ascending id order, of plain ints and floats
+    whether ``x`` is a dict or :class:`chargediff.csr.Charges`, and the
+    ranking sorts its items by charge alone with a C-level key. Python's
+    sort is stable, and ``reverse=True`` keeps it stable (equal items stay
+    in input order), so nodes of equal charge stay in ascending id order:
+    the same ranking as a sort on ``(-charge, id)``.
     """
-    final = {i: x[i] for i in sorted(x) if x[i] > 0.0}
+    if isinstance(x, dict):
+        final = {i: x[i] for i in sorted(x) if x[i] > 0.0}
+    else:
+        final = x.positive()
     ranking = sorted(final.items(), key=itemgetter(1), reverse=True)
     return QueryResult(
         seed=seed,
@@ -172,8 +176,9 @@ def _run(
     once ``x`` repeats the run is periodic and can never stop. Brent's
     cycle detection watches for that: one saved vector, replaced whenever
     the distance to it reaches the next power of two, is compared with each
-    new one by dict ``==`` (bitwise, as charges are never negative or NaN;
-    usually settled by the lengths alone). On a hit at round t with period
+    new one by ``==`` on the charge vectors, dicts or arrays alike, in
+    O(touched) (bitwise, as charges are never negative or NaN; usually
+    settled by the lengths alone). On a hit at round t with period
     lam, the loop skips the whole periods that fit under the cap, repeats
     the excess trace of one period for each, and plays the fewer than lam
     rounds left as usual. A periodic capped run thus costs its settling

@@ -8,15 +8,20 @@ is stored once and contributes 1 to the node's degree.
 
 Large clean texts are parsed in bulk with numpy, which is imported for them
 only; small texts, and every text the bulk parse does not accept, go through
-a line loop that reports the offending line. Both build equal graphs.
+a line loop that reports the offending line. Both build equal graphs, and
+the bulk parse's graphs also keep its flat arrays (``Graph.csr``), over
+which queries play their rounds in numpy.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import InitVar, dataclass, field
+from typing import TYPE_CHECKING, Iterable, Sequence
+
+if TYPE_CHECKING:
+    from .csr import Csr
 
 
 class EdgeListError(ValueError):
@@ -36,30 +41,45 @@ class Graph:
 
     - ``out_ratios[i][k]``, the share of node ``i``'s total out-weight
       carried by its arc to ``targets[i][k]`` (see :func:`_ratio_row`);
-    - ``degrees[i]``, which is ``len(targets[i])``;
-    - ``shares[i]``, the share every arc of row ``i`` carries when all of
-      its ratios are equal (as in any unweighted graph), else None.
-      :func:`chargediff.diffusion.step` computes one receipt for such a row.
+    - ``degrees[i]``, which is ``len(targets[i])``.
+
+    ``csr`` holds the same rows as flat numpy arrays
+    (:class:`chargediff.csr.Csr`) when the bulk parse built the graph, and
+    is None otherwise. The bulk parse passes the arrays it built as
+    ``flat``, ``(degrees, targets, weighted)``; the constructor takes a
+    weighted graph's ratios from its ``out_ratios``, so both keep the same
+    bits. :func:`chargediff.diffusion.step` plays the rounds of a graph with
+    ``csr`` in numpy, with the dict round's bits: receipts fold with
+    ``np.add.at`` in ascending sender order, and the excess sums with
+    ``np.cumsum``. A round then costs a fixed 25-50 us plus about 40 ns per
+    pushed arc, against about 0.25 us per arc in the dict round. A graph
+    without ``csr``, such as a small file parsed line by line, keeps the
+    dict round and never loads numpy, whose import costs 0.18-0.26 s per
+    process.
     """
 
     node_count: int
     directed: bool
     targets: tuple[tuple[int, ...], ...]
     weights: tuple[tuple[float, ...], ...]
+    flat: InitVar[tuple | None] = None
     out_ratios: tuple[tuple[float, ...], ...] = field(init=False, compare=False)
     degrees: tuple[int, ...] = field(init=False, compare=False)
-    shares: tuple[float | None, ...] = field(init=False, compare=False)
+    csr: Csr | None = field(init=False, default=None, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, flat: tuple | None) -> None:
         # Keyed by the row's id, so no row of floats is hashed (hashing every
         # row made the 100k-node bulk parse about 15% slower). Equal rows
         # given as distinct tuples are derived apart, to the same bits.
         keys = list(map(id, self.weights))
         ratio_of = {key: _ratio_row(row) for key, row in dict(zip(keys, self.weights)).items()}
-        share_of = {key: r[0] if r and r.count(r[0]) == len(r) else None for key, r in ratio_of.items()}
         object.__setattr__(self, "out_ratios", tuple(map(ratio_of.__getitem__, keys)))
         object.__setattr__(self, "degrees", tuple(map(len, self.targets)))
-        object.__setattr__(self, "shares", tuple(map(share_of.__getitem__, keys)))
+        if flat is not None:
+            from .csr import Csr
+
+            degrees, targets, weighted = flat
+            object.__setattr__(self, "csr", Csr.of(degrees, targets, self.out_ratios if weighted else None))
 
     @property
     def arc_count(self) -> int:
@@ -341,7 +361,7 @@ def _bulk_arcs(text: str, directed: bool, relabel: bool):
 
 
 def _bulk_parse(text: str, directed: bool, relabel: bool) -> tuple[Graph, list[int]] | None:
-    """``(graph, labels)`` of large clean text, built from :func:`_bulk_arcs`; else None."""
+    """``(graph, labels)`` of large clean text, built from :func:`_bulk_arcs`, arrays kept as ``csr``; else None."""
     arcs = _bulk_arcs(text, directed, relabel)
     if arcs is None:
         return None
@@ -354,7 +374,9 @@ def _bulk_parse(text: str, directed: bool, relabel: bool) -> tuple[Graph, list[i
         weight_rows = [shared[d] for d in degree_list]
     else:
         weight_rows = _split_rows(weights.tolist(), degree_list)
-    return Graph(len(degree_list), directed, tuple(target_rows), tuple(weight_rows)), labels.tolist()
+    flat = (degrees, targets, weights is not None)
+    graph = Graph(len(degree_list), directed, tuple(target_rows), tuple(weight_rows), flat)
+    return graph, labels.tolist()
 
 
 def _split_rows(flat: list, lengths: list[int]) -> list[tuple]:

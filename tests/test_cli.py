@@ -9,6 +9,7 @@ import pytest
 
 from chargediff import cli, graph
 from chargediff.cli import main
+from chargediff.engine import run_query
 from chargediff.generators import preferential_attachment
 
 STAR_TEXT = "\n".join(f"0 {i}" for i in range(1, 11)) + "\n"
@@ -93,6 +94,29 @@ def test_knn_unknown_seed_exits_1(capsys, star_file):
     code, _, err = run_cli(capsys, "knn", "--graph", star_file, "--seed", "99")
     assert code == 1
     assert "99" in err
+
+
+@pytest.mark.parametrize("seed", ["5", "15", "25", "35", "-1"])
+def test_unknown_seed_among_sparse_labels_exits_1(capsys, tmp_path, seed):
+    # Labels 10, 20, 30: seeds below, between and above them are unknown.
+    path = tmp_path / "sparse.edges"
+    path.write_text("10 20\n20 30\n")
+    code, out, err = run_cli(capsys, "knn", "--graph", str(path), "--seed", seed)
+    assert (code, out) == (1, "")
+    assert err == f"error: seed {seed} is not a node of {path}\n"
+
+
+@pytest.mark.parametrize("seed, dense", [("10", 0), ("20", 1), ("30", 2)])
+def test_sparse_label_seeds_find_their_node(capsys, tmp_path, monkeypatch, seed, dense):
+    path = tmp_path / "sparse.edges"
+    path.write_text("10 20\n20 30\n")
+    seen = []
+    monkeypatch.setattr(cli, "run_query", lambda g, node, cfg: seen.append(node) or run_query(g, node, cfg))
+    code, out, _ = run_cli(capsys, "knn", "--graph", str(path), "--seed", seed, "--max-iters", "5")
+    assert code == 0 and seen == [dense]
+    result = json.loads(out)["result"]
+    assert int(seed) in result["nn_set"]
+    assert int(seed) not in [entry["node"] for entry in result["top"]]
 
 
 @pytest.mark.parametrize("command", ["knn", "compare"])

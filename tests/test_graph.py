@@ -1,10 +1,12 @@
 import pickle
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from chargediff.diffusion import DiffusionConfig, Variant, init_state, step
+from chargediff import graph
 from chargediff.generators import complete_graph
 from chargediff.graph import (
     EdgeListError,
@@ -204,15 +206,15 @@ def test_graphs_compare_and_hash_by_rows_and_weights():
     assert parse_edge_list("0 1 2.5\n1 2 0.125", directed=True) != g
 
 
-def test_shares_mark_rows_of_equal_ratios():
+def test_rows_of_one_tuple_share_their_ratio_row():
     g = parse_edge_list("0 1 2.5\n0 2 2.5\n1 2 1\n1 3 2\n4 4 0.5", directed=True)
-    assert g.shares == (0.5, None, None, None, 1.0)
+    assert g.out_ratios == ((0.5, 0.5), (1 / 3, 2 / 3), (), (), (1.0,))
     # Rows given as one tuple share their derived row; equal rows given as
     # distinct tuples get equal ones.
     row, twin = (3.0, 3.0), tuple(float(s) for s in ("3.0", "3.0"))
     g = Graph(4, True, ((1, 2), (0, 2), (0, 1), ()), (row, row, twin, ()))
     assert g.out_ratios[0] is g.out_ratios[1]
-    assert g.out_ratios[2] == g.out_ratios[0] and g.shares == (0.5, 0.5, 0.5, None)
+    assert g.out_ratios[2] == g.out_ratios[0] == (0.5, 0.5) and g.out_ratios[3] == ()
 
 
 def test_hand_built_graph_derives_the_rows_of_from_edges():
@@ -226,18 +228,29 @@ def test_hand_built_graph_derives_the_rows_of_from_edges():
     for a, b in ((hand, g), (g, hand)):
         assert [[r.hex() for r in row] for row in a.out_ratios] == [[r.hex() for r in row] for row in b.out_ratios]
         assert a.degrees == b.degrees == (2, 1, 2, 0, 0)
-        assert a.shares == b.shares == (None, 1.0, 0.5, None, None)
+
+
+WEIGHTED_TEXT = "0 1 2.5\n0 2 2.5\n1 2 1\n1 3 2\n2 3 0.75\n3 3 4"
+
+
+def bulk_parsed(text):
+    """``parse_edge_list(text)`` through the bulk parse, which keeps CSR arrays."""
+    with mock.patch.object(graph, "_BULK_MIN_LINES", 0):
+        g = parse_edge_list(text)
+    assert g.csr is not None
+    return g
 
 
 @pytest.mark.parametrize(
     "g",
-    [complete_graph(5), parse_edge_list("0 1 2.5\n0 2 2.5\n1 2 1\n1 3 2\n2 3 0.75\n3 3 4")],
+    [complete_graph(5), parse_edge_list(WEIGHTED_TEXT), bulk_parsed(WEIGHTED_TEXT)],
+    ids=["clique", "weighted", "weighted-bulk"],
 )
-def test_pickled_graph_keeps_shares_and_step_bits(g):
+def test_pickled_graph_keeps_rows_and_step_bits(g):
     copy = pickle.loads(pickle.dumps(g))
     assert copy == g
-    assert copy.shares == g.shares
     assert copy.degrees == g.degrees and copy.out_ratios == g.out_ratios
+    assert (copy.csr is None) == (g.csr is None)
     cfg = DiffusionConfig(alpha=0.4, epsilon=0.05, variant=Variant.EXCESS, delta=1e-3)
     a, b = init_state(g, 0), init_state(copy, 0)
     for _ in range(10):

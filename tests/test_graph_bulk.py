@@ -3,8 +3,8 @@
 Texts of ``graph._BULK_MIN_LINES`` lines or more are parsed in bulk with
 numpy; smaller ones, and any text the bulk parse does not accept, go
 through the line loop. These tests force each path by patching that
-threshold, and compare graphs, labels, degrees, ratio and share bits, and the
-error text of every malformed input.
+threshold, and compare graphs, labels, degrees, ratio bits, the bulk parse's
+CSR arrays, and the error text of every malformed input.
 """
 
 import math
@@ -49,17 +49,38 @@ def bits(g):
         g.targets,
         g.degrees,
         [[r.hex() for r in row] for row in g.out_ratios],
-        [None if r is None else r.hex() for r in g.shares],
         [[w.hex() for w in row] for row in g.weights],
     )
 
 
+def csr_bits(g):
+    """Row lengths, targets and ratio bits of ``g.csr``'s flat arrays.
+
+    Unweighted text keeps no ratio array; its ratio is 1.0/degree.
+    """
+    csr = g.csr
+    degrees = numpy.diff(csr.indptr)
+    # A row without arcs repeats its value no times, so 1.0/1 stands in for 1.0/0.
+    ratios = (1.0 / numpy.maximum(degrees, 1)).repeat(degrees) if csr.ratios is None else csr.ratios
+    return degrees.tolist(), csr.targets.tolist(), [r.hex() for r in ratios.tolist()]
+
+
 def assert_same(a, b):
+    """``a`` and ``b`` are equal graphs, or ``(graph, labels)`` pairs, with equal rows and bits.
+
+    A graph that the bulk parse built also holds its rows as CSR arrays,
+    with the bits of its tuple rows, and a scratch vector of -0.0.
+    """
     if isinstance(a, tuple):
         (a, labels_a), (b, labels_b) = a, b
         assert labels_a == labels_b
     assert a == b
     assert bits(a) == bits(b)
+    for g in (a, b):
+        if g.csr is not None:
+            flat = [t for row in g.targets for t in row], [r.hex() for row in g.out_ratios for r in row]
+            assert g.csr.indptr[0] == 0 and csr_bits(g) == (list(g.degrees), *flat)
+            assert numpy.signbit(g.csr.scratch).all() and not g.csr.scratch.any()
 
 
 @st.composite

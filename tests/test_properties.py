@@ -1,9 +1,11 @@
 """Property-based checks of the numeric invariants."""
 
 import math
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
+from chargediff import graph
 from chargediff.diffusion import (
     ChargeState,
     DiffusionConfig,
@@ -168,38 +170,40 @@ def test_uniform_rows_match_reference_round_bit_for_bit():
 
     # Rows built by hand: node 0's row has equal ratios at both ends but
     # another between them; node 1's weights are equal but distinct objects.
-    # The constructor derives each row's share from its ratios alone.
     one = tuple(float(s) for s in ("1.0",) * 3)
     assert one[0] is not one[1]
     g = Graph(4, True, ((1, 2, 3), (0, 2, 3), (0,), (1,)), ((1.0, 2.0, 1.0), one, (1.0,), (1.0,)))
     assert g.out_ratios[0] == (0.25, 0.5, 0.25)
-    assert g.shares == (None, 1 / 3, 1.0, 1.0)
+    assert g.out_ratios[1] == (1 / 3,) * 3
     step_like_reference(g, DiffusionConfig(alpha=0.5, epsilon=0.05), {0: 0.6, 1: 0.4}, 6)
 
 
-def test_distinct_weights_of_equal_ratios_take_one_receipt():
+def test_distinct_weights_of_equal_ratios_match_reference_round():
     # Four weights, one an ulp above the rest: every ratio still rounds to
-    # 0.25, so the row is uniform. Weights (1.0, 1.0000000000000002) are
-    # not: their ratios are 0.49999999999999994 and 0.5.
+    # 0.25. Weights (1.0, 1.0000000000000002) do not: their ratios are
+    # 0.49999999999999994 and 0.5. Both rounds, the dict round on the
+    # graph's rows and the numpy round on the bulk parse's arrays, give the
+    # reference's bits.
     w = [(0, 1, 3.0), (0, 2, 3.0), (0, 3, 3.0), (0, 4, math.nextafter(3.0, 4.0)),
          (1, 0, 1.0), (1, 2, math.nextafter(1.0, 2.0))]
     g = from_edges(w, directed=True)
-    assert g.out_ratios[0] == (0.25,) * 4 and g.shares[0] == 0.25
-    assert g.out_ratios[1] == (0.49999999999999994, 0.5) and g.shares[1] is None
-    # A uniform row's share is all a round reads of it: with its ratio row
-    # hidden, the round still gives the reference's bits and key order.
-    hidden = Graph(g.node_count, g.directed, g.targets, g.weights)
-    object.__setattr__(hidden, "out_ratios", (None,) + g.out_ratios[1:])
+    assert g.out_ratios[0] == (0.25,) * 4
+    assert g.out_ratios[1] == (0.49999999999999994, 0.5)
+    with mock.patch.object(graph, "_BULK_MIN_LINES", 0):
+        bulk = parse_edge_list("".join(f"{u} {v} {x!r}\n" for u, v, x in w), directed=True)
+    assert bulk == g and bulk.csr is not None
     for cfg in (
         DiffusionConfig(alpha=0.4, epsilon=0.05),
         DiffusionConfig(alpha=0.4, epsilon=0.05, variant=Variant.EXCESS, delta=5e-4),
         DiffusionConfig(variant=Variant.LAZY_WALK),
     ):
-        state = ChargeState(x={0: 0.7, 1: 0.3}, t=0, ever_active=set(), seed=0)
-        ref = ChargeState(x={0: 0.7, 1: 0.3}, t=0, ever_active=set(), seed=0)
-        for _ in range(8):
-            state, ref = step(state, hidden, cfg), reference_step(ref, g, cfg)
-            assert bits(state.x) == bits(ref.x)
+        for h in (g, bulk):
+            state = ChargeState(x={0: 0.7, 1: 0.3}, t=0, ever_active=set(), seed=0)
+            ref = ChargeState(x={0: 0.7, 1: 0.3}, t=0, ever_active=set(), seed=0)
+            for _ in range(8):
+                state, ref = step(state, h, cfg), reference_step(ref, g, cfg)
+                assert sorted(bits(state.x)) == sorted(bits(ref.x))
+                assert state.ever_active == ref.ever_active
 
 
 @given(
