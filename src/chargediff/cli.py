@@ -8,9 +8,10 @@ Subcommands: ``knn`` (run a query and print the top-k neighbors),
 Output is machine-readable JSON by default (``--format tsv`` for tabular
 text); identical invocations produce byte-identical output, and every report
 echoes the effective config. Exit codes: 0 success, 1 usage or config error,
-2 I/O or parse error. Node ids in reports always use the input file's
-original labels; sparse labels are compacted internally and the mapping is
-included in the report.
+2 I/O or parse error. A reader that closes stdout early (``| head``) ends
+the run with exit 2 and no message. Node ids in reports always use the input
+file's original labels; sparse labels are compacted internally and the
+mapping is included in the report.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import bisect
 import json
+import os
 import sys
 
 from . import baselines
@@ -60,9 +62,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _UnreadableGraph(Exception):
+    """The ``--graph`` file could not be read or decoded; ``main`` exits 2."""
+
+
 def _load_graph(args) -> tuple[Graph, list[int]]:
-    with open(args.graph, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(args.graph, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _UnreadableGraph(exc) from None
     return parse_edge_list_relabeled(text, directed=args.directed)
 
 
@@ -356,8 +365,16 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
-    except OSError as exc:
+        code = _COMMANDS[args.command](args)
+        # Flushed here, so that a closed stdout is met below.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of stdout has gone. Point stdout at devnull, so that the
+        # interpreter's last flush of what is left does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
+    except _UnreadableGraph as exc:
         print(f"error: cannot read graph: {exc}", file=sys.stderr)
         return 2
     except EdgeListError as exc:

@@ -3,8 +3,9 @@
 CSR (compressed sparse rows) keeps a graph's arcs in flat arrays: the arcs
 of node ``i`` are positions ``indptr[i]:indptr[i + 1]`` of ``targets`` and
 of ``ratios``. The bulk parse in :mod:`chargediff.graph` has these arrays
-already, so the graphs it builds keep them, and
-:func:`chargediff.diffusion.step` plays their rounds with :meth:`Csr.play`.
+already, so the graphs it builds keep them, in place of per-node rows until
+a row is read, and :func:`chargediff.diffusion.step` plays their rounds with
+:meth:`Csr.play`.
 Every other graph keeps the dict round. Only the bulk parse imports this
 module, and its functions use the numpy that the bulk parse loaded; so a
 process that parses only small files compiles and loads neither.
@@ -15,6 +16,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Sequence
 
 
@@ -27,6 +29,12 @@ class Csr:
     ratio, float64 with the bits of ``Graph.out_ratios``. It is None for
     unweighted text, where every row is uniform and an arc's ratio is
     ``1.0 / degree``, computed per sender in the round.
+
+    A graph from the bulk parse holds these arrays in place of its per-node
+    rows, and builds the rows from ``targets`` and its degrees when a row is
+    first read: ``simulate``, ``compare`` and ``bounds`` read rows, ``knn``
+    does not. Weighted text builds its weight and ratio rows at parse time,
+    since ``ratios`` takes its bits from them.
 
     ``scratch`` is n float64 that all hold -0.0 between rounds. A round
     writes the charges of its touched ids into it, folds receipts there and
@@ -57,9 +65,15 @@ class Csr:
         """The ids, in order, whose rows have arcs."""
         return ids[self.indptr[ids + 1] > self.indptr[ids]]
 
+    @cached_property
     def rows_with_arcs(self) -> Any:
-        """Every id whose row has arcs, ascending."""
-        return (self.indptr[1:] > self.indptr[:-1]).nonzero()[0]
+        """Every id whose row has arcs, ascending: ``lazy``'s senders in every round.
+
+        An O(n) scan, so it is made once per graph, read-only, and kept.
+        """
+        rows = (self.indptr[1:] > self.indptr[:-1]).nonzero()[0]
+        rows.flags.writeable = False
+        return rows
 
     def play(
         self,

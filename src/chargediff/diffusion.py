@@ -176,12 +176,13 @@ def emitters(state: ChargeState, g: Graph, cfg: DiffusionConfig) -> Sequence[int
     O(frontier), as a list or, beside ``Charges``, an int64 array. A stuck
     active node (no out-edges) holds its charge and sends nothing.
     LAZY_WALK: every node with out-edges transmits, zero-charge nodes
-    included, so it costs O(n); on a graph with CSR rows it is an array.
+    included, so it costs O(n); on a graph with CSR rows it is the graph's
+    one read-only array of them, made on the first round.
     """
     if cfg.variant is Variant.LAZY_WALK:
         if g.csr is not None:
-            return g.csr.rows_with_arcs()
-        return [j for j in range(g.node_count) if g.degrees[j] > 0]
+            return g.csr.rows_with_arcs
+        return [j for j, degree in enumerate(g.degrees) if degree > 0]
     frontier = state.active(cfg.epsilon)
     if isinstance(frontier, list):
         degrees = g.degrees

@@ -82,14 +82,18 @@ def run_distributed(
         inbox: dict[int, list[tuple[int, float]]] = {}
         messages = 0
         in_flight = 0.0
-        for j in emitters(state, g, cfg):
+        senders = emitters(state, g, cfg)
+        targets, out_ratios, degrees = g.targets, g.out_ratios, g.degrees
+        # LAZY_WALK's senders on a graph with CSR rows are an int64 array;
+        # the mailboxes are keyed by Python ints, as on any other graph.
+        for j in senders if isinstance(senders, list) else senders.tolist():
             kept[j], sent = split(x.get(j, 0.0))
             inbox.setdefault(j, [])
-            for target, ratio in zip(g.targets[j], g.out_ratios[j]):
+            for target, ratio in zip(targets[j], out_ratios[j]):
                 amount = sent * ratio
                 inbox.setdefault(target, []).append((j, amount))
                 in_flight += amount
-            messages += g.degrees[j]
+            messages += degrees[j]
 
         if cfg.variant is Variant.LAZY_WALK:
             active_count = g.node_count

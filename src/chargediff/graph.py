@@ -8,16 +8,17 @@ is stored once and contributes 1 to the node's degree.
 
 Large clean texts are parsed in bulk with numpy, which is imported for them
 only; small texts, and every text the bulk parse does not accept, go through
-a line loop that reports the offending line. Both build equal graphs, and
-the bulk parse's graphs also keep its flat arrays (``Graph.csr``), over
-which queries play their rounds in numpy.
+a line loop that reports the offending line. Both build equal graphs. The
+bulk parse's graphs hold its flat arrays (``Graph.csr``), over which queries
+play their rounds in numpy, and build their per-node rows from them on first
+read.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:
@@ -36,8 +37,8 @@ class Graph:
     and ``weights[i][k]`` the weight of its arc to ``targets[i][k]``, as
     given. These four fields are the graph: equality and hashing read them
     alone. The constructor derives the other rows from them, once per
-    weight-row object, so rows given as one shared tuple (the bulk parse
-    passes one per degree for unweighted text) share their derived rows:
+    weight-row object, so rows given as one shared tuple share their derived
+    rows:
 
     - ``out_ratios[i][k]``, the share of node ``i``'s total out-weight
       carried by its arc to ``targets[i][k]`` (see :func:`_ratio_row`);
@@ -45,41 +46,73 @@ class Graph:
 
     ``csr`` holds the same rows as flat numpy arrays
     (:class:`chargediff.csr.Csr`) when the bulk parse built the graph, and
-    is None otherwise. The bulk parse passes the arrays it built as
-    ``flat``, ``(degrees, targets, weighted)``; the constructor takes a
-    weighted graph's ratios from its ``out_ratios``, so both keep the same
-    bits. :func:`chargediff.diffusion.step` plays the rounds of a graph with
-    ``csr`` in numpy, with the dict round's bits: receipts fold with
-    ``np.add.at`` in ascending sender order, and the excess sums with
-    ``np.cumsum``. A round then costs a fixed 25-50 us plus about 40 ns per
-    pushed arc, against about 0.25 us per arc in the dict round. A graph
-    without ``csr``, such as a small file parsed line by line, keeps the
-    dict round and never loads numpy, whose import costs 0.18-0.26 s per
-    process.
+    is None otherwise. Such a graph comes from :meth:`of_arrays`. It holds
+    ``node_count``, ``directed``, ``degrees`` and its arrays, and, when
+    weighted, its weight and ratio rows, whose bits ``csr`` takes. Its other
+    rows are built from the arrays on first read, once, and kept: the line
+    loop's rows, bit for bit, with one shared weight tuple per degree for
+    unweighted text. :func:`chargediff.diffusion.step` plays the rounds of
+    a graph with ``csr`` in numpy, with the dict round's bits, and reads no
+    row: receipts fold with ``np.add.at`` in ascending sender order, and
+    the excess sums with ``np.cumsum``. A round then costs a fixed 25-50 us
+    plus about 40 ns per pushed arc, against about 0.25 us per arc in the
+    dict round. So ``run_query`` and the ``knn`` subcommand never build the
+    rows of a large file. The simulator, personalized pagerank,
+    :func:`serialize_edge_list`, ``edge_count``, and ``==``, ``hash`` and
+    ``repr`` read them, so ``simulate``, ``compare`` and ``bounds`` build
+    them once. A graph without ``csr``, such as a small file parsed line by
+    line, keeps the dict round and never loads numpy, whose import costs
+    0.18-0.26 s per process.
     """
 
     node_count: int
     directed: bool
     targets: tuple[tuple[int, ...], ...]
     weights: tuple[tuple[float, ...], ...]
-    flat: InitVar[tuple | None] = None
     out_ratios: tuple[tuple[float, ...], ...] = field(init=False, compare=False)
     degrees: tuple[int, ...] = field(init=False, compare=False)
     csr: Csr | None = field(init=False, default=None, compare=False, repr=False)
 
-    def __post_init__(self, flat: tuple | None) -> None:
-        # Keyed by the row's id, so no row of floats is hashed (hashing every
-        # row made the 100k-node bulk parse about 15% slower). Equal rows
-        # given as distinct tuples are derived apart, to the same bits.
-        keys = list(map(id, self.weights))
-        ratio_of = {key: _ratio_row(row) for key, row in dict(zip(keys, self.weights)).items()}
-        object.__setattr__(self, "out_ratios", tuple(map(ratio_of.__getitem__, keys)))
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "out_ratios", _ratio_rows(self.weights))
         object.__setattr__(self, "degrees", tuple(map(len, self.targets)))
-        if flat is not None:
-            from .csr import Csr
 
-            degrees, targets, weighted = flat
-            object.__setattr__(self, "csr", Csr.of(degrees, targets, self.out_ratios if weighted else None))
+    @classmethod
+    def of_arrays(cls, directed: bool, degrees, targets, weights) -> Graph:
+        """The graph of flat arcs, sorted by source then target, as the bulk parse gives them.
+
+        ``degrees`` counts each node's arcs, and ``targets`` and ``weights``
+        (None for unweighted text) list the arcs, as numpy arrays. The graph
+        keeps ``targets`` in its ``csr``, and builds its rows from it on
+        first read. A weighted graph builds its weight and ratio rows here:
+        its ratios are :func:`_ratio_row`'s exact rationals, and ``csr``
+        carries their bits.
+        """
+        from .csr import Csr
+
+        graph = object.__new__(cls)
+        degree_list = degrees.tolist()
+        fields = {"node_count": len(degree_list), "directed": directed, "degrees": tuple(degree_list)}
+        if weights is not None:
+            fields["weights"] = tuple(_split_rows(weights.tolist(), degree_list))
+            fields["out_ratios"] = _ratio_rows(fields["weights"])
+        fields["csr"] = Csr.of(degrees, targets, fields.get("out_ratios"))
+        vars(graph).update(fields)
+        return graph
+
+    def __getattr__(self, name: str):
+        # Reached only for an attribute the instance lacks: on a graph from
+        # of_arrays, a row not yet built. Build the rows once, and keep them.
+        state = vars(self)
+        if name not in ("targets", "weights", "out_ratios") or state.get("csr") is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        state["targets"] = tuple(_split_rows(self.csr.targets.tolist(), self.degrees))
+        if "weights" not in state:
+            # Unweighted rows of one degree share one weight tuple.
+            shared = {d: (1.0,) * d for d in set(self.degrees)}
+            state["weights"] = tuple(map(shared.__getitem__, self.degrees))
+            state["out_ratios"] = _ratio_rows(state["weights"])
+        return state[name]
 
     @property
     def arc_count(self) -> int:
@@ -95,12 +128,25 @@ class Graph:
         return (self.arc_count + loops) // 2
 
 
+def _ratio_rows(weights: Sequence[Sequence[float]]) -> tuple[tuple[float, ...], ...]:
+    """The ``out_ratios`` of these weight rows, derived once per row object.
+
+    Keyed by the row's id, so no row of floats is hashed (hashing every row
+    made the 100k-node bulk parse about 15% slower). Rows given as one
+    shared tuple share their ratio row; equal rows given as distinct tuples
+    are derived apart, to the same bits.
+    """
+    keys = list(map(id, weights))
+    ratio_of = {key: _ratio_row(row) for key, row in dict(zip(keys, weights)).items()}
+    return tuple(map(ratio_of.__getitem__, keys))
+
+
 def _ratio_row(weights: Sequence[float]) -> tuple[float, ...]:
     """Each weight's share of the row's total, rounded once from the exact w / sum(w).
 
     Rounding the exact rational keeps trajectories identical when all
     weights are rescaled by a common factor that the floats represent
-    exactly. Only :class:`Graph`'s constructor calls this.
+    exactly. Only :func:`_ratio_rows` calls this.
     """
     if not weights:
         return ()
@@ -197,9 +243,10 @@ def _read_edges(text: str, directed: bool) -> tuple[list[tuple[int, int, float]]
 
 # Texts of fewer lines go to the line loop, so knn/simulate on small files
 # start without numpy. In a fresh knn process the numpy import costs about
-# 0.18 s, which the bulk parse wins back near 28k-36k lines, whether the ids
-# have 4 digits or 10; a character count shifts by 2x between the two.
-# Measured by scripts/bulk_threshold.py (Python 3.11, numpy 2.4, 2-core VM).
+# 0.18 s, which the bulk parse wins back near 26k-32k lines: between 30k and
+# 32k with 4-digit ids, between 26k and 28k with 10-digit ids (16 runs per
+# point); a character count shifts by 2x between the two. Measured by
+# scripts/bulk_threshold.py (Python 3.11, numpy 2.4, 2-core VM).
 _BULK_MIN_LINES = 1 << 15
 
 
@@ -361,25 +408,15 @@ def _bulk_arcs(text: str, directed: bool, relabel: bool):
 
 
 def _bulk_parse(text: str, directed: bool, relabel: bool) -> tuple[Graph, list[int]] | None:
-    """``(graph, labels)`` of large clean text, built from :func:`_bulk_arcs`, arrays kept as ``csr``; else None."""
+    """``(graph, labels)`` of large clean text, as :meth:`Graph.of_arrays` builds it; else None."""
     arcs = _bulk_arcs(text, directed, relabel)
     if arcs is None:
         return None
     labels, degrees, targets, weights = arcs
-    degree_list = degrees.tolist()
-    target_rows = _split_rows(targets.tolist(), degree_list)
-    if weights is None:
-        # Unweighted rows of one degree share one weight tuple.
-        shared = {d: (1.0,) * d for d in set(degree_list)}
-        weight_rows = [shared[d] for d in degree_list]
-    else:
-        weight_rows = _split_rows(weights.tolist(), degree_list)
-    flat = (degrees, targets, weights is not None)
-    graph = Graph(len(degree_list), directed, tuple(target_rows), tuple(weight_rows), flat)
-    return graph, labels.tolist()
+    return Graph.of_arrays(directed, degrees, targets, weights), labels.tolist()
 
 
-def _split_rows(flat: list, lengths: list[int]) -> list[tuple]:
+def _split_rows(flat: list, lengths: Sequence[int]) -> list[tuple]:
     """Consecutive slices of ``flat`` with the given lengths, as tuples."""
     flat = tuple(flat)
     return [flat[end - d : end] for d, end in zip(lengths, itertools.accumulate(lengths))]
@@ -423,9 +460,10 @@ def serialize_edge_list(g: Graph) -> str:
     Parsing the output reproduces an equal Graph.
     """
     lines = []
-    for i in range(g.node_count):
-        for j, w in zip(g.targets[i], g.weights[i]):
-            if not g.directed and j < i:
+    directed = g.directed
+    for i, (row, weights) in enumerate(zip(g.targets, g.weights)):
+        for j, w in zip(row, weights):
+            if not directed and j < i:
                 continue
             lines.append(f"{i} {j}" if w == 1.0 else f"{i} {j} {w!r}")
     return "\n".join(lines) + ("\n" if lines else "")

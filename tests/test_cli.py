@@ -390,3 +390,48 @@ def test_bulk_parse_leaves_output_unchanged(capsys, tmp_path, monkeypatch, comma
     assert bulk == run_cli(capsys, *argv)
     assert bulk[0] == 0
     assert '"relabeling"' in bulk[1]
+
+
+def sparse_tree_text(lines):
+    """A tree of ``lines`` edges on sparse ids 7i + 3: node i hangs off node i // 2."""
+    return "".join(f"{7 * (i // 2) + 3} {7 * i + 3}\n" for i in range(1, lines + 1))
+
+
+@pytest.mark.parametrize("variant", ["retention", "excess"])
+def test_knn_on_a_large_file_builds_no_rows(capsys, tmp_path, monkeypatch, variant):
+    text = sparse_tree_text(40_000)
+    assert text.count("\n") >= graph._BULK_MIN_LINES
+    path = tmp_path / "tree.edges"
+    path.write_text(text)
+    argv = ("knn", "--graph", str(path), "--seed", "3", "--variant", variant, "--epsilon", "0.01")
+    with monkeypatch.context() as m:
+        m.setattr(graph, "_split_rows", None)  # building a row would call it
+        bulk = run_cli(capsys, *argv)
+    monkeypatch.setattr(graph, "_BULK_MIN_LINES", float("inf"))
+    assert bulk == run_cli(capsys, *argv)
+    assert bulk[0] == 0
+
+
+def test_closed_stdout_ends_quietly(tmp_path):
+    # The report's relabeling map of 40k sparse ids runs to about 1 MB, far
+    # past a pipe's buffer, so the child is still writing when the reader
+    # closes the pipe, as `| head -c 100` does.
+    path = tmp_path / "tree.edges"
+    path.write_text(sparse_tree_text(40_000))
+    argv = [sys.executable, "-m", "chargediff", "knn", "--graph", str(path), "--seed", "3"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CHILD_ENV)
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 2
+    assert head.startswith(b"{") and len(head) == 100
+    assert err == ""
+
+
+def test_undecodable_graph_file_exits_2(capsys, tmp_path):
+    path = tmp_path / "latin1.edges"
+    path.write_bytes("0 1\n1 2 \xe9\n".encode("latin-1"))
+    code, out, err = run_cli(capsys, "knn", "--graph", str(path), "--seed", "0")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read graph: 'utf-8' codec can't decode")

@@ -26,7 +26,7 @@ from test_properties import configs, reference_step
 
 from chargediff import engine, graph
 from chargediff.csr import Charges
-from chargediff.diffusion import ChargeState, DiffusionConfig, Variant, excess_total, init_state, step
+from chargediff.diffusion import ChargeState, DiffusionConfig, Variant, emitters, excess_total, init_state, step
 from chargediff.distsim import run_distributed
 from chargediff.engine import run_query, should_stop
 from chargediff.generators import erdos_renyi_connected
@@ -205,6 +205,24 @@ def test_queries_stepped_in_turn_match_each_run_alone(variant):
         assert scratch_is_clear(bulk)
         assert hexes(a.x) == alone[3][r] and hexes(b.x) == alone[250][r]
     assert hexes(a.x) == hexes(run_steps(loop, 3, cfg, 15).x)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_lazy_rounds_on_a_bulk_graph_match_the_dict_round_bit_for_bit(directed):
+    # Id gaps and, when directed, sinks: rows without arcs that lazy skips.
+    g0 = erdos_renyi_connected(200, 3.0, random.Random(4))
+    text = "".join(f"{3 * u} {3 * v}\n" for u in range(g0.node_count) for v in g0.targets[u] if u < v)
+    bulk, loop = parse_both(text, directed)
+    cfg = DiffusionConfig(variant=Variant.LAZY_WALK, max_iterations=40)
+    fast, slow = init_state(bulk, 3), init_state(loop, 3)
+    senders = emitters(fast, bulk, cfg)
+    assert senders.tolist() == emitters(slow, loop, cfg)
+    for _ in range(40):
+        fast, slow = step(fast, bulk, cfg), step(slow, loop, cfg)
+        assert_same_state(fast, slow)
+        # Found once per graph, not in every round.
+        assert emitters(fast, bulk, cfg) is senders
+    assert repr(run_query(bulk, 3, cfg)) == repr(run_query(loop, 3, cfg))
 
 
 def test_a_round_cut_short_leaves_the_scratch_clear(monkeypatch):

@@ -231,26 +231,60 @@ def test_hand_built_graph_derives_the_rows_of_from_edges():
 
 
 WEIGHTED_TEXT = "0 1 2.5\n0 2 2.5\n1 2 1\n1 3 2\n2 3 0.75\n3 3 4"
+UNWEIGHTED_TEXT = "0 1\n0 2\n1 2\n2 3\n3 3\n5 4"
 
 
 def bulk_parsed(text):
-    """``parse_edge_list(text)`` through the bulk parse, which keeps CSR arrays."""
+    """``parse_edge_list(text)`` through the bulk parse, which keeps CSR arrays and builds no target rows."""
     with mock.patch.object(graph, "_BULK_MIN_LINES", 0):
         g = parse_edge_list(text)
-    assert g.csr is not None
+    assert g.csr is not None and "targets" not in vars(g)
     return g
 
 
+def line_loop(text):
+    with mock.patch.object(graph, "_BULK_MIN_LINES", float("inf")):
+        return parse_edge_list(text)
+
+
+def rows_read(g):
+    assert g.targets is not None
+    return g
+
+
+def csr_arrays(g):
+    csr = g.csr
+    return csr.indptr.tolist(), csr.targets.tolist(), None if csr.ratios is None else csr.ratios.tolist()
+
+
 @pytest.mark.parametrize(
-    "g",
-    [complete_graph(5), parse_edge_list(WEIGHTED_TEXT), bulk_parsed(WEIGHTED_TEXT)],
-    ids=["clique", "weighted", "weighted-bulk"],
+    "make, text",
+    [
+        (lambda: complete_graph(5), None),
+        (lambda: parse_edge_list(WEIGHTED_TEXT), WEIGHTED_TEXT),
+        (lambda: bulk_parsed(WEIGHTED_TEXT), WEIGHTED_TEXT),
+        (lambda: bulk_parsed(UNWEIGHTED_TEXT), UNWEIGHTED_TEXT),
+        (lambda: rows_read(bulk_parsed(WEIGHTED_TEXT)), WEIGHTED_TEXT),
+        (lambda: rows_read(bulk_parsed(UNWEIGHTED_TEXT)), UNWEIGHTED_TEXT),
+    ],
+    ids=["clique", "weighted", "weighted-bulk", "unweighted-bulk", "weighted-bulk-read", "unweighted-bulk-read"],
 )
-def test_pickled_graph_keeps_rows_and_step_bits(g):
+def test_pickled_graph_keeps_rows_and_step_bits(make, text):
+    g = make()
+    held = set(vars(g))
     copy = pickle.loads(pickle.dumps(g))
-    assert copy == g
+    # A bulk graph whose rows were never read pickles without them; either
+    # side builds them on first read.
+    assert set(vars(copy)) == held
+    arrays = g.csr is not None and csr_arrays(g)
+    twin = g if text is None else line_loop(text)
+    for a in (copy, g):
+        assert a == twin and hash(a) == hash(twin) and repr(a) == repr(twin)
     assert copy.degrees == g.degrees and copy.out_ratios == g.out_ratios
     assert (copy.csr is None) == (g.csr is None)
+    if arrays:
+        # Building the rows leaves the arrays as they were.
+        assert csr_arrays(g) == csr_arrays(copy) == arrays
     cfg = DiffusionConfig(alpha=0.4, epsilon=0.05, variant=Variant.EXCESS, delta=1e-3)
     a, b = init_state(g, 0), init_state(copy, 0)
     for _ in range(10):

@@ -8,6 +8,8 @@ CSR arrays, and the error text of every malformed input.
 """
 
 import math
+import pickle
+import random
 import tracemalloc
 import warnings
 from unittest import mock
@@ -17,7 +19,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from chargediff import graph
-from chargediff.graph import EdgeListError, parse_edge_list, parse_edge_list_relabeled
+from chargediff.baselines import personalized_pagerank
+from chargediff.diffusion import DiffusionConfig, Variant
+from chargediff.distsim import run_distributed
+from chargediff.engine import run_query
+from chargediff.generators import erdos_renyi_connected
+from chargediff.graph import EdgeListError, parse_edge_list, parse_edge_list_relabeled, serialize_edge_list
 
 SETTINGS = dict(max_examples=150, deadline=None)
 PARSERS = [parse_edge_list, parse_edge_list_relabeled]
@@ -65,15 +72,33 @@ def csr_bits(g):
     return degrees.tolist(), csr.targets.tolist(), [r.hex() for r in ratios.tolist()]
 
 
+FIRST_READS = {
+    "==": lambda g, other: g == other and other == g,
+    "hash": lambda g, other: hash(g) == hash(other),
+    "repr": lambda g, other: repr(g) == repr(other),
+}
+
+
 def assert_same(a, b):
     """``a`` and ``b`` are equal graphs, or ``(graph, labels)`` pairs, with equal rows and bits.
 
     A graph that the bulk parse built also holds its rows as CSR arrays,
-    with the bits of its tuple rows, and a scratch vector of -0.0.
+    with the bits of its tuple rows, and a scratch vector of -0.0. Until a
+    row is read it holds no target rows; then each of ``==``, ``hash`` and
+    ``repr``, read first on a pickled copy, builds rows that match the other
+    graph's, and leaves the arrays as they were.
     """
     if isinstance(a, tuple):
         (a, labels_a), (b, labels_b) = a, b
         assert labels_a == labels_b
+    for g, other in ((a, b), (b, a)):
+        if g.csr is not None and "targets" not in vars(g):
+            arrays = csr_bits(g)
+            for name, read in FIRST_READS.items():
+                copy = pickle.loads(pickle.dumps(g))
+                assert "targets" not in vars(copy)
+                assert read(copy, other), name
+                assert csr_bits(copy) == arrays
     assert a == b
     assert bits(a) == bits(b)
     for g in (a, b):
@@ -311,3 +336,40 @@ def test_huge_sparse_ids_do_not_allocate_up_to_the_largest_id():
     assert g.node_count == len(labels) == 66_000
     assert labels[:3] == [base, base + 3, base + 7]
     assert_same((g, labels), loop(parse_edge_list_relabeled, text, False))
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_queries_on_a_bulk_graph_build_no_rows(weighted):
+    # run_query plays the numpy round, which reads the arrays alone. The
+    # simulator, pagerank and serializing build the rows on first read, and
+    # get the line loop's answers from them.
+    lines = serialize_edge_list(erdos_renyi_connected(1000, 6.0, random.Random(5))).splitlines()
+    text = "".join(f"{line} {WEIGHTS[k % len(WEIGHTS)]}\n" if weighted else f"{line}\n" for k, line in enumerate(lines))
+    fast, slow = bulk(parse_edge_list, text, False), loop(parse_edge_list, text, False)
+    configs = [
+        DiffusionConfig(alpha=0.5, epsilon=1e-3, variant=variant, delta=1e-5, max_iterations=60) for variant in Variant
+    ]
+    results = [run_query(fast, 17, cfg) for cfg in configs]
+    assert "targets" not in vars(fast)
+    for cfg, result in zip(configs, results):
+        assert repr(result) == repr(run_query(slow, 17, cfg))
+        assert repr(run_distributed(fast, 17, cfg)) == repr(run_distributed(slow, 17, cfg))
+    assert personalized_pagerank(fast, 17) == personalized_pagerank(slow, 17)
+    assert serialize_edge_list(fast) == serialize_edge_list(slow)
+    assert bits(fast) == bits(slow)
+
+
+def test_a_100k_node_bulk_graph_holds_its_arrays_not_its_rows():
+    # 400k edges on a ring of 100k nodes. Its row tuples of Python ints
+    # would take about 36 MB more; the arrays (int64 targets and row starts,
+    # the scratch vector) and the degree tuple take about 8.4 MB.
+    n = 100_000
+    text = "".join(f"{i} {(i + d) % n}\n" for i in range(n) for d in (1, 2, 5, 11))
+    tracemalloc.start()
+    try:
+        g = parse_edge_list(text)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert g.csr is not None and g.arc_count == 800_000
+    assert retained < 16 * 2**20
