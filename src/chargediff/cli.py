@@ -10,8 +10,20 @@ text); identical invocations produce byte-identical output, and every report
 echoes the effective config. Exit codes: 0 success, 1 usage or config error,
 2 I/O or parse error. A reader that closes stdout early (``| head``) ends
 the run with exit 2 and no message. Node ids in reports always use the input
-file's original labels; sparse labels are compacted internally and the
-mapping is included in the report.
+file's original labels; sparse labels are compacted internally only.
+
+A report costs what it answers, not the iteration cap. The ``result`` of
+``knn`` and ``simulate`` carries ``stop_reason`` (``quiescent``,
+``excess_below_delta`` or ``iteration_cap``), and ``cycle_start`` and
+``period``, which are null unless the charge vector repeated (see
+:class:`chargediff.engine.QueryResult`). A run that repeated prints its
+``excess_trace`` (``knn``) and its ``rounds`` (``simulate``; as
+``# cycle_start=`` and ``# period=`` lines above the TSV table) only up to
+``cycle_start + period`` entries. The rest follow by the rule: entry
+``i >= cycle_start`` (counted from 0) equals entry
+``cycle_start + (i - cycle_start) % period``, for the ``iterations + 1``
+trace entries and the ``iterations`` rounds. ``totals`` still sum every
+round. A capped run that never repeats prints every entry.
 """
 
 from __future__ import annotations
@@ -24,7 +36,7 @@ import sys
 
 from . import baselines
 from .diffusion import DiffusionConfig, Variant
-from .engine import ConfigError, compute_bounds, run_query, top_k, validate_config
+from .engine import ConfigError, QueryResult, compute_bounds, run_query, top_k, validate_config
 from .graph import EdgeListError, Graph, max_degree, parse_edge_list_relabeled
 
 
@@ -129,9 +141,22 @@ def _config_echo(args, cfg: DiffusionConfig) -> dict:
     return echo
 
 
-def _maybe_relabeling(doc: dict, labels: list[int]) -> None:
-    if labels != list(range(len(labels))):
-        doc["relabeling"] = {str(orig): dense for dense, orig in enumerate(labels)}
+def _one_period(entries: list, result: QueryResult) -> list:
+    """``entries`` up to ``cycle_start + period``, or all of them when the run did not repeat.
+
+    The entries after that repeat the period, so the prefix is lossless.
+    """
+    if result.period is None:
+        return entries
+    return entries[: result.cycle_start + result.period]
+
+
+def _ending(result: QueryResult) -> dict:
+    return {
+        "stop_reason": result.stop_reason,
+        "cycle_start": result.cycle_start,
+        "period": result.period,
+    }
 
 
 def _emit_json(doc: dict) -> None:
@@ -175,11 +200,11 @@ def _cmd_knn(args) -> int:
             "iterations": result.iterations,
             "terminated": result.terminated,
             "touched": result.touched,
+            **_ending(result),
         },
     }
     if result.excess_trace is not None:
-        doc["result"]["excess_trace"] = result.excess_trace
-    _maybe_relabeling(doc, labels)
+        doc["result"]["excess_trace"] = _one_period(result.excess_trace, result)
     _emit_json(doc)
     return 0
 
@@ -215,12 +240,15 @@ def _cmd_simulate(args) -> int:
             "violations": report.violations,
         }
     echo = _config_echo(args, cfg)
+    shown = _one_period(stats, result)
     if args.format == "tsv":
         lines = _echo_comments(echo)
         if note:
             lines.append(f"# note={note}")
         lines.append(f"# centralized_match={match}")
-        lines.append(round_stats_table(stats).rstrip("\n"))
+        lines.append(f"# cycle_start={result.cycle_start}")
+        lines.append(f"# period={result.period}")
+        lines.append(round_stats_table(shown).rstrip("\n"))
         print("\n".join(lines))
         return 0
     doc = {
@@ -235,7 +263,7 @@ def _cmd_simulate(args) -> int:
                 "active": s.active_count,
                 "total_charge": s.total_charge,
             }
-            for r, s in enumerate(stats, 1)
+            for r, s in enumerate(shown, 1)
         ],
         "totals": {
             "rounds": len(stats),
@@ -246,19 +274,19 @@ def _cmd_simulate(args) -> int:
             "iterations": result.iterations,
             "terminated": result.terminated,
             "touched": result.touched,
+            **_ending(result),
         },
     }
     if complexity is not None:
         doc["complexity"] = complexity
     if note:
         doc["note"] = note
-    _maybe_relabeling(doc, labels)
     _emit_json(doc)
     return 0
 
 
 def _cmd_bounds(args) -> int:
-    graph, labels = _load_graph(args)
+    graph, _ = _load_graph(args)
     cfg = _make_config(args)
     bounds = compute_bounds(graph, cfg)
     echo = _config_echo(args, cfg)
@@ -283,7 +311,6 @@ def _cmd_bounds(args) -> int:
         print("\n".join(lines))
         return 0
     doc = {"command": "bounds", "config": echo, "graph": stats, "bounds": values}
-    _maybe_relabeling(doc, labels)
     _emit_json(doc)
     return 0
 
@@ -345,7 +372,6 @@ def _cmd_compare(args) -> int:
     }
     if note:
         doc["note"] = note
-    _maybe_relabeling(doc, labels)
     _emit_json(doc)
     return 0
 

@@ -32,9 +32,9 @@ class Csr:
 
     A graph from the bulk parse holds these arrays in place of its per-node
     rows, and builds the rows from ``targets`` and its degrees when a row is
-    first read: ``simulate``, ``compare`` and ``bounds`` read rows, ``knn``
-    does not. Weighted text builds its weight and ratio rows at parse time,
-    since ``ratios`` takes its bits from them.
+    first read: ``simulate`` and ``compare`` read rows, ``knn`` and
+    ``bounds`` do not. Weighted text builds its weight and ratio rows at
+    parse time, since ``ratios`` takes its bits from them.
 
     ``scratch`` is n float64 that all hold -0.0 between rounds. A round
     writes the charges of its touched ids into it, folds receipts there and
@@ -74,6 +74,13 @@ class Csr:
         rows = (self.indptr[1:] > self.indptr[:-1]).nonzero()[0]
         rows.flags.writeable = False
         return rows
+
+    def loop_count(self) -> int:
+        """How many arcs point back at their own row: the self-loops."""
+        import numpy as np
+
+        rows = np.arange(len(self.indptr) - 1).repeat(np.diff(self.indptr))
+        return int(np.count_nonzero(self.targets == rows))
 
     def play(
         self,

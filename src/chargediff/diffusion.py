@@ -67,7 +67,8 @@ class ChargeState:
     :class:`chargediff.csr.Charges`, a pair of arrays, in the numpy round
     that graphs with CSR arrays play (see :func:`step`). Only the bulk parse
     of a large edge list builds such graphs; small ones keep dicts, since
-    the numpy import alone costs 0.18-0.26 s per process. Either kind holds
+    the numpy import alone costs more than their rounds would save (see
+    ``chargediff.graph._BULK_MIN_LINES``). Either kind holds
     every id that has held or received charge, zero charges included, with
     the same bits, and compares by ``==`` in O(touched), so the run loop's
     repeat test builds no dict. The excess total of ``Charges`` is
@@ -207,10 +208,12 @@ def step(state: ChargeState, g: Graph, cfg: DiffusionConfig) -> ChargeState:
     ``np.add.at``, which adds in index order, so in ascending sender order
     as below, and its states sum their excess with ``np.cumsum`` (not the
     pairwise ``np.sum``), so every bit matches. It costs a fixed 25-50 us
-    plus about 40 ns per pushed arc, where the dict round costs about
-    0.25 us per arc: they break even near 150 arcs per round (Python 3.11,
-    numpy 2.4). Any other graph, such as a small file that should not pay
-    the 0.18-0.26 s numpy import, plays the dict round.
+    of numpy calls plus about 40 ns per pushed arc and a few ns per touched
+    id, where the dict round costs about 0.25 us per arc: they break even
+    near 150 arcs per round, and from 3000 on numpy is 6x faster (Python
+    3.11, numpy 2.4, 2-core VM). Any other graph, such as a small file that
+    should not pay the numpy import (``chargediff.graph._BULK_MIN_LINES``),
+    plays the dict round.
 
     The dict round is one pass over the pushed arcs. The new vector starts
     as a copy of ``x`` with every sender's retained share written in (before

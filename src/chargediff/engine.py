@@ -35,6 +35,16 @@ class QueryResult:
     orders nonzero-charge nodes by final charge descending with ascending-id
     tie-break; ``touched`` counts nodes holding nonzero charge at the end.
     ``excess_trace`` is populated for the EXCESS variant only.
+
+    ``stop_reason`` says why the run loop ended: ``"quiescent"`` (no active
+    node can transfer), ``"excess_below_delta"`` (EXCESS only) or
+    ``"iteration_cap"``; the first two are the runs with ``terminated``.
+    When the charge vector repeated, ``cycle_start`` is the round whose
+    vector came back and ``period`` the rounds it took; from ``cycle_start``
+    on, the excess trace and the simulator's round rows repeat with that
+    period, so entry ``i >= cycle_start`` equals entry
+    ``cycle_start + (i - cycle_start) % period``. Both are None when no
+    repeat was found.
     """
 
     seed: int
@@ -45,6 +55,9 @@ class QueryResult:
     terminated: bool
     touched: int
     excess_trace: list[float] | None = None
+    stop_reason: str | None = None
+    cycle_start: int | None = None
+    period: int | None = None
 
 
 @dataclass(frozen=True)
@@ -126,6 +139,9 @@ def build_result(
     iterations: int,
     terminated: bool,
     excess_trace: list[float] | None = None,
+    stop_reason: str | None = None,
+    cycle_start: int | None = None,
+    period: int | None = None,
 ) -> QueryResult:
     """Assemble a QueryResult from a final charge vector.
 
@@ -153,6 +169,9 @@ def build_result(
         terminated=terminated,
         touched=len(final),
         excess_trace=excess_trace,
+        stop_reason=stop_reason,
+        cycle_start=cycle_start,
+        period=period,
     )
 
 
@@ -178,12 +197,14 @@ def _run(
     the distance to it reaches the next power of two, is compared with each
     new one by ``==`` on the charge vectors, dicts or arrays alike, in
     O(touched) (bitwise, as charges are never negative or NaN; usually
-    settled by the lengths alone). On a hit at round t with period
-    lam, the loop skips the whole periods that fit under the cap, repeats
-    the excess trace of one period for each, and plays the fewer than lam
-    rounds left as usual. A periodic capped run thus costs its settling
-    rounds plus a period or two, and still reports the cap as its
-    ``iterations``. ``rows``, when given, is a caller's list of per-round
+    settled by the lengths alone). On a hit at round t, where the saved
+    vector is that of round t0, the period is lam = t - t0: the loop skips
+    the whole periods that fit under the cap, repeats the excess trace of
+    one period for each, and plays the fewer than lam rounds left as usual.
+    A periodic capped run thus costs its settling rounds plus a period or
+    two, and still reports the cap as its ``iterations``; t0 and lam are its
+    ``cycle_start`` and ``period``. The result's ``stop_reason`` says which
+    test ended the loop. ``rows``, when given, is a caller's list of per-round
     records that ``advance`` appends to, indexed like the trace (entry i
     for the round that starts at round i); the skip repeats its period of
     rows just as it repeats the trace's.
@@ -192,6 +213,7 @@ def _run(
     state = init_state(g, seed)
     trace = [] if cfg.variant is Variant.EXCESS else None
     saved, saved_t, reach = state.x, 0, 1
+    cycle_start = period = None
     while True:
         if trace is not None:
             trace.append(excess_total(state, cfg))
@@ -200,7 +222,7 @@ def _run(
             break
         state = advance(state)
         if state.x == saved:
-            period = state.t - saved_t
+            cycle_start, period = saved_t, state.t - saved_t
             copies = (cfg.max_iterations - state.t) // period
             for records in (trace, rows):
                 if records is not None:
@@ -208,7 +230,16 @@ def _run(
             state = replace(state, t=state.t + copies * period)
         elif state.t - saved_t == reach:
             saved, saved_t, reach = state.x, state.t, 2 * reach
-    return build_result(state.x, state.ever_active, seed, state.t, terminated, trace)
+    if not terminated:
+        reason = "iteration_cap"
+    elif trace is not None and trace[-1] < cfg.delta:
+        # should_stop tests the excess before the frontier.
+        reason = "excess_below_delta"
+    else:
+        reason = "quiescent"
+    return build_result(
+        state.x, state.ever_active, seed, state.t, terminated, trace, reason, cycle_start, period
+    )
 
 
 def run_query(g: Graph, seed: int, cfg: DiffusionConfig) -> QueryResult:

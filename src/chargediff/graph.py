@@ -54,15 +54,15 @@ class Graph:
     unweighted text. :func:`chargediff.diffusion.step` plays the rounds of
     a graph with ``csr`` in numpy, with the dict round's bits, and reads no
     row: receipts fold with ``np.add.at`` in ascending sender order, and
-    the excess sums with ``np.cumsum``. A round then costs a fixed 25-50 us
-    plus about 40 ns per pushed arc, against about 0.25 us per arc in the
-    dict round. So ``run_query`` and the ``knn`` subcommand never build the
-    rows of a large file. The simulator, personalized pagerank,
-    :func:`serialize_edge_list`, ``edge_count``, and ``==``, ``hash`` and
-    ``repr`` read them, so ``simulate``, ``compare`` and ``bounds`` build
-    them once. A graph without ``csr``, such as a small file parsed line by
-    line, keeps the dict round and never loads numpy, whose import costs
-    0.18-0.26 s per process.
+    the excess sums with ``np.cumsum`` (``step`` gives the cost of either
+    round). So ``run_query`` and the ``knn`` subcommand never build the
+    rows of a large file, and ``edge_count`` counts self-loops from
+    ``csr``, so ``bounds`` does not either. The simulator, personalized
+    pagerank, :func:`serialize_edge_list`, and ``==``, ``hash`` and
+    ``repr`` read them, so ``simulate`` and ``compare`` build them once. A
+    graph without ``csr``, such as a small file parsed line by line, keeps
+    the dict round and never loads numpy, whose import cost
+    ``_BULK_MIN_LINES`` weighs.
     """
 
     node_count: int
@@ -124,7 +124,10 @@ class Graph:
         """Number of edges in the input sense (arcs for directed input); a self-loop is one."""
         if self.directed:
             return self.arc_count
-        loops = sum(i in row for i, row in enumerate(self.targets))
+        if self.csr is not None:
+            loops = self.csr.loop_count()
+        else:
+            loops = sum(i in row for i, row in enumerate(self.targets))
         return (self.arc_count + loops) // 2
 
 
@@ -242,10 +245,10 @@ def _read_edges(text: str, directed: bool) -> tuple[list[tuple[int, int, float]]
 
 
 # Texts of fewer lines go to the line loop, so knn/simulate on small files
-# start without numpy. In a fresh knn process the numpy import costs about
-# 0.18 s, which the bulk parse wins back near 26k-32k lines: between 30k and
-# 32k with 4-digit ids, between 26k and 28k with 10-digit ids (16 runs per
-# point); a character count shifts by 2x between the two. Measured by
+# start without numpy. In a fresh knn process the numpy import costs
+# 0.18-0.26 s, which the bulk parse wins back near 26k-32k lines: between
+# 30k and 32k with 4-digit ids, between 26k and 28k with 10-digit ids (16
+# runs per point); a character count shifts by 2x between the two. Measured by
 # scripts/bulk_threshold.py (Python 3.11, numpy 2.4, 2-core VM).
 _BULK_MIN_LINES = 1 << 15
 

@@ -210,8 +210,10 @@ def test_knn_sparse_labels_round_trip(capsys, tmp_path):
     )
     assert code == 0
     doc = json.loads(out)
-    assert doc["relabeling"] == {"10": 0, "20": 1, "30": 2}
+    # Every id in the report is a file label, so no relabeling map is printed.
+    assert "relabeling" not in doc
     assert set(entry["node"] for entry in doc["result"]["top"]) <= {10, 20, 30}
+    assert 20 in doc["result"]["nn_set"] and set(doc["result"]["nn_set"]) <= {10, 20, 30}
 
 
 def test_simulate_star(capsys, star_file):
@@ -225,6 +227,31 @@ def test_simulate_star(capsys, star_file):
     assert [row["messages"] for row in doc["rounds"]] == [10, 10, 10, 10]
     assert doc["complexity"]["total_messages"] == 40
     assert doc["complexity"]["violations"] == []
+
+
+@pytest.mark.parametrize(
+    "command", [("knn", "--variant", "excess"), ("simulate",), ("simulate", "--format", "tsv")]
+)
+def test_capped_triangle_report_is_bounded_by_its_answer(capsys, triangle_file, command):
+    # The run goes to the default cap of 1M rounds, but it repeats from round
+    # 31 on, so the report prints its trace or rows up to one period past that.
+    code, out, _ = run_cli(capsys, *command, "--graph", triangle_file, "--seed", "0")
+    assert code == 0
+    assert len(out.encode()) < 16 * 1024
+
+
+def test_capped_run_that_never_repeats_prints_every_row(capsys, tmp_path):
+    path = tmp_path / "path.edges"
+    path.write_text("0 1\n1 2\n2 3\n3 4\n4 5\n")
+    code, out, _ = run_cli(
+        capsys, "simulate", "--graph", str(path), "--seed", "0", "--variant", "lazy", "--max-iters", "20"
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["result"]["stop_reason"], doc["result"]["cycle_start"], doc["result"]["period"]) == (
+        "iteration_cap", None, None,
+    )
+    assert len(doc["rounds"]) == doc["totals"]["rounds"] == 20
 
 
 def test_simulate_stuck_seed_notes(capsys, tmp_path):
@@ -375,8 +402,8 @@ def test_package_imports_without_numpy():
 
 @pytest.mark.parametrize("command", ["knn", "simulate"])
 def test_bulk_parse_leaves_output_unchanged(capsys, tmp_path, monkeypatch, command):
-    # Sparse labels, so the output carries a relabeling map, in a file large
-    # enough for the bulk parse.
+    # Sparse labels, which the report must name as the file does, in a file
+    # large enough for the bulk parse.
     g = preferential_attachment(17_000, 2, random.Random(7))
     text = "".join(f"{3 * u + 10} {3 * v + 10}\n" for u in range(g.node_count) for v in g.targets[u] if u < v)
     assert text.count("\n") >= graph._BULK_MIN_LINES
@@ -389,7 +416,8 @@ def test_bulk_parse_leaves_output_unchanged(capsys, tmp_path, monkeypatch, comma
     monkeypatch.setattr(graph, "_BULK_MIN_LINES", float("inf"))
     assert bulk == run_cli(capsys, *argv)
     assert bulk[0] == 0
-    assert '"relabeling"' in bulk[1]
+    nn_set = json.loads(bulk[1])["result"]["nn_set"]
+    assert 40 in nn_set and all(i % 3 == 1 for i in nn_set)
 
 
 def sparse_tree_text(lines):
@@ -413,12 +441,16 @@ def test_knn_on_a_large_file_builds_no_rows(capsys, tmp_path, monkeypatch, varia
 
 
 def test_closed_stdout_ends_quietly(tmp_path):
-    # The report's relabeling map of 40k sparse ids runs to about 1 MB, far
-    # past a pipe's buffer, so the child is still writing when the reader
-    # closes the pipe, as `| head -c 100` does.
+    # At epsilon=1e-4 the query touches 16k nodes of the tree, and the
+    # report that ranks all of them runs to about 1.4 MB, far past a pipe's
+    # buffer. So the child is still writing when the reader closes the pipe,
+    # as `| head -c 100` does.
     path = tmp_path / "tree.edges"
     path.write_text(sparse_tree_text(40_000))
-    argv = [sys.executable, "-m", "chargediff", "knn", "--graph", str(path), "--seed", "3"]
+    argv = [
+        sys.executable, "-m", "chargediff", "knn", "--graph", str(path), "--seed", "3",
+        "--epsilon", "0.0001", "--k", "40001",
+    ]
     proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CHILD_ENV)
     head = proc.stdout.read(100)
     proc.stdout.close()

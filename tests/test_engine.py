@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chargediff.diffusion import DiffusionConfig, Variant
+from chargediff.distsim import run_distributed
 from chargediff.engine import (
     ConfigError,
     build_result,
@@ -105,6 +106,43 @@ class TestRunQuery:
         assert not res.terminated
         assert res.iterations == 20
         assert res.excess_trace is None
+
+
+STUCK = from_edges([(0, 1, 1.0)], directed=True)
+# name: (graph, seed, config, stop_reason, (cycle_start, period))
+STOP_CASES = {
+    "retention settles": (STAR, 0, STAR_CFG, "quiescent", (None, None)),
+    # An EXCESS run whose only active node has no out-edges.
+    "excess stuck seed": (
+        STUCK, 1, DiffusionConfig(alpha=0.5, epsilon=0.1, variant=Variant.EXCESS), "quiescent", (None, None)
+    ),
+    "excess decays": (
+        STAR, 0, DiffusionConfig(alpha=0.5, epsilon=0.1, variant=Variant.EXCESS, delta=0.01),
+        "excess_below_delta", (None, None),
+    ),
+    "repeat capped": (
+        complete_graph(3), 0, DiffusionConfig(alpha=0.5, epsilon=0.2, max_iterations=1000),
+        "iteration_cap", (31, 1),
+    ),
+    "lazy capped": (
+        path_graph(6), 0, DiffusionConfig(variant=Variant.LAZY_WALK, max_iterations=20),
+        "iteration_cap", (None, None),
+    ),
+    "retention capped": (
+        STAR, 0, DiffusionConfig(alpha=0.5, epsilon=0.1, max_iterations=2), "iteration_cap", (None, None)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STOP_CASES))
+def test_stop_reason_and_repeat(case):
+    g, seed, cfg, reason, repeat = STOP_CASES[case]
+    res = run_query(g, seed, cfg)
+    assert res.stop_reason == reason
+    assert res.terminated == (reason != "iteration_cap")
+    assert (res.cycle_start, res.period) == repeat
+    # The simulator shares the run loop, so it reports the same ending.
+    assert run_distributed(g, seed, cfg)[0] == res
 
 
 class TestTopK:

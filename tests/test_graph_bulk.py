@@ -164,6 +164,21 @@ def test_bulk_parse_of_a_large_text_self_loops_and_gaps():
             assert_same(fast, loop(parse, text, directed))
 
 
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("directed", [False, True])
+def test_edge_count_of_a_bulk_graph_builds_no_rows(directed, weighted):
+    # Self-loops are counted from the CSR arrays, as the arcs whose target
+    # is their own row; building a row would call _split_rows.
+    lines = [f"{i} {i + 1}" for i in range(33_000)] + [f"{i} {i}" for i in range(0, 33_000, 7)]
+    text = "".join(f"{line} 2.5\n" if weighted else f"{line}\n" for line in lines)
+    assert above_threshold(text)
+    fast = bulk(parse_edge_list, text, directed)
+    with mock.patch.object(graph, "_split_rows", None):
+        count = fast.edge_count
+    assert "targets" not in vars(fast)
+    assert count == loop(parse_edge_list, text, directed).edge_count == 33_000 + 4_715
+
+
 def base_lines(weighted):
     return [f"{i} {i + 1}" + (f" {0.5 * (1 + i % 7)!r}" if weighted else "") for i in range(33_000)]
 

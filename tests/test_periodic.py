@@ -4,18 +4,22 @@ On a graph with n <= 1/epsilon a run cannot stop, and it settles into a
 repeating charge vector; the run loop detects the repeat and skips whole
 periods up to the cap. Every check here compares against a plain loop that
 plays each round with ``step``, so the skip must change no bit of the
-result, the excess trace or the simulator's round stats.
+result, the excess trace or the simulator's round stats. The CLI prints
+such a trace and such rows only up to the repeat plus one period; expanded,
+they must give back the library's in full.
 """
+
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chargediff import distsim, engine
+from chargediff import cli, distsim, engine
 from chargediff.diffusion import DiffusionConfig, Variant, init_state, step
 from chargediff.distsim import run_distributed
 from chargediff.engine import run_query, should_stop
 from chargediff.generators import complete_graph
-from chargediff.graph import from_edges
+from chargediff.graph import from_edges, serialize_edge_list
 
 TRIANGLE = from_edges([(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)])
 # At the default config this settles at round 174 into a period of 10.
@@ -167,3 +171,70 @@ def test_capped_simulation_repeats_its_row_objects():
     result, stats = run_distributed(TRIANGLE, 0, DiffusionConfig())
     assert result.iterations == len(stats) == 1_000_000
     assert len({id(s) for s in stats}) <= 64
+
+
+def expand(entries, cycle_start, period, length):
+    """A bounded report's entries, ``length`` of them: from ``cycle_start`` on they repeat ``period``."""
+    if period is None:
+        return entries
+    return [entries[i if i < cycle_start else cycle_start + (i - cycle_start) % period] for i in range(length)]
+
+
+def run_cli(capsys, *argv):
+    assert cli.main(list(argv)) == 0
+    return capsys.readouterr().out
+
+
+def tsv_rows(out):
+    """The ``# key=value`` lines and the table rows of ``simulate --format tsv``."""
+    lines = out.splitlines()
+    header = lines.index("round\tmessages\tactive\ttotal_charge")
+    comments = dict(line[2:].split("=", 1) for line in lines[:header])
+    return comments, [line.split("\t") for line in lines[header + 1 :]]
+
+
+def optional_int(text):
+    return None if text == "None" else int(text)
+
+
+@pytest.mark.parametrize("variant", [Variant.RETENTION, Variant.EXCESS])
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_bounded_reports_expand_to_the_full_trace_and_rows(tmp_path, capsys, name, variant):
+    g = GRAPHS[name]
+    cfg = DiffusionConfig(variant=variant, max_iterations=20_011)
+    result = run_query(g, 0, cfg)
+    twin, stats = run_distributed(g, 0, cfg)
+    assert result.period is not None
+    path = tmp_path / f"{name}.edges"
+    path.write_text(serialize_edge_list(g))
+    argv = ["--graph", str(path), "--seed", "0", "--variant", variant.value, "--max-iters", "20011"]
+    if g.directed:
+        argv.append("--directed")
+    shown = result.cycle_start + result.period
+    rows = [(s.messages_sent, s.active_count, s.total_charge.hex()) for s in stats]
+
+    doc = json.loads(run_cli(capsys, "knn", *argv))["result"]
+    assert (doc["stop_reason"], doc["cycle_start"], doc["period"]) == (
+        "iteration_cap", result.cycle_start, result.period,
+    )
+    if variant is Variant.EXCESS:
+        assert len(doc["excess_trace"]) == shown
+        full = expand(doc["excess_trace"], doc["cycle_start"], doc["period"], doc["iterations"] + 1)
+        assert [v.hex() for v in full] == [v.hex() for v in result.excess_trace]
+
+    doc = json.loads(run_cli(capsys, "simulate", *argv))
+    ending = doc["result"]
+    assert (ending["stop_reason"], ending["cycle_start"], ending["period"]) == (
+        twin.stop_reason, twin.cycle_start, twin.period,
+    )
+    assert len(doc["rounds"]) == shown
+    assert doc["totals"] == {"rounds": len(stats), "messages": sum(s.messages_sent for s in stats)}
+    printed = [(r["messages"], r["active"], r["total_charge"].hex()) for r in doc["rounds"]]
+    assert expand(printed, ending["cycle_start"], ending["period"], doc["totals"]["rounds"]) == rows
+
+    comments, table = tsv_rows(run_cli(capsys, "simulate", *argv, "--format", "tsv"))
+    cycle_start, period = optional_int(comments["cycle_start"]), optional_int(comments["period"])
+    assert (cycle_start, period) == (twin.cycle_start, twin.period)
+    assert [int(r[0]) for r in table] == list(range(1, shown + 1))
+    printed = [(int(m), int(a), float(c).hex()) for _, m, a, c in table]
+    assert expand(printed, cycle_start, period, len(stats)) == rows
