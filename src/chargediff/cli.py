@@ -15,15 +15,12 @@ file's original labels; sparse labels are compacted internally only.
 A report costs what it answers, not the iteration cap. The ``result`` of
 ``knn`` and ``simulate`` carries ``stop_reason`` (``quiescent``,
 ``excess_below_delta`` or ``iteration_cap``), and ``cycle_start`` and
-``period``, which are null unless the charge vector repeated (see
-:class:`chargediff.engine.QueryResult`). A run that repeated prints its
-``excess_trace`` (``knn``) and its ``rounds`` (``simulate``; as
-``# cycle_start=`` and ``# period=`` lines above the TSV table) only up to
-``cycle_start + period`` entries. The rest follow by the rule: entry
-``i >= cycle_start`` (counted from 0) equals entry
-``cycle_start + (i - cycle_start) % period``, for the ``iterations + 1``
-trace entries and the ``iterations`` rounds. ``totals`` still sum every
-round. A capped run that never repeats prints every entry.
+``period``, which are null unless the charge vector repeated. A run that
+repeated prints its ``excess_trace`` (``knn``) and its ``rounds``
+(``simulate``; as ``# cycle_start=`` and ``# period=`` lines above the TSV
+table) as the library keeps them, up to the repeat; the rest follow by the
+rule in :class:`chargediff.engine.QueryResult`. ``totals`` count every
+round.
 """
 
 from __future__ import annotations
@@ -141,16 +138,6 @@ def _config_echo(args, cfg: DiffusionConfig) -> dict:
     return echo
 
 
-def _one_period(entries: list, result: QueryResult) -> list:
-    """``entries`` up to ``cycle_start + period``, or all of them when the run did not repeat.
-
-    The entries after that repeat the period, so the prefix is lossless.
-    """
-    if result.period is None:
-        return entries
-    return entries[: result.cycle_start + result.period]
-
-
 def _ending(result: QueryResult) -> dict:
     return {
         "stop_reason": result.stop_reason,
@@ -204,14 +191,16 @@ def _cmd_knn(args) -> int:
         },
     }
     if result.excess_trace is not None:
-        doc["result"]["excess_trace"] = _one_period(result.excess_trace, result)
+        doc["result"]["excess_trace"] = result.excess_trace
     _emit_json(doc)
     return 0
 
 
 def _cmd_simulate(args) -> int:
     # Imported here so that the other subcommands start without the simulator.
-    from .distsim import message_complexity_report, round_stats_table, run_distributed
+    from .distsim import (
+        message_complexity_report, round_stats_table, run_distributed, total_messages,
+    )
 
     graph, labels, cfg, seed, warnings = _prepare_query(args)
     result, stats = run_distributed(graph, seed, cfg)
@@ -228,19 +217,9 @@ def _cmd_simulate(args) -> int:
         note = "seed has no out-edges; nothing to simulate"
     complexity = None
     if cfg.epsilon > 0.0:
-        report = message_complexity_report(
-            stats, compute_bounds(graph, cfg),
-            d_max=max_degree(graph), touched=result.touched,
-        )
-        complexity = {
-            "total_messages": report.total_messages,
-            "peak_round_messages": report.peak_round_messages,
-            "message_bound": report.message_bound,
-            "max_touched": report.max_touched,
-            "violations": report.violations,
-        }
+        bounds = compute_bounds(graph, cfg)
+        complexity = message_complexity_report(stats, result, bounds, max_degree(graph))
     echo = _config_echo(args, cfg)
-    shown = _one_period(stats, result)
     if args.format == "tsv":
         lines = _echo_comments(echo)
         if note:
@@ -248,7 +227,7 @@ def _cmd_simulate(args) -> int:
         lines.append(f"# centralized_match={match}")
         lines.append(f"# cycle_start={result.cycle_start}")
         lines.append(f"# period={result.period}")
-        lines.append(round_stats_table(shown).rstrip("\n"))
+        lines.append(round_stats_table(stats).rstrip("\n"))
         print("\n".join(lines))
         return 0
     doc = {
@@ -263,12 +242,9 @@ def _cmd_simulate(args) -> int:
                 "active": s.active_count,
                 "total_charge": s.total_charge,
             }
-            for r, s in enumerate(shown, 1)
+            for r, s in enumerate(stats, 1)
         ],
-        "totals": {
-            "rounds": len(stats),
-            "messages": sum(s.messages_sent for s in stats),
-        },
+        "totals": {"rounds": result.iterations, "messages": total_messages(stats, result)},
         "result": {
             "nn_set": [labels[node] for node in result.nn_set],
             "iterations": result.iterations,

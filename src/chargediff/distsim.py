@@ -37,26 +37,17 @@ class RoundStats:
     total_charge: float
 
 
-@dataclass
-class MessageReport:
-    """Totals from a run compared against the closed-form bounds."""
-
-    total_messages: int
-    peak_round_messages: int
-    message_bound: int
-    max_touched: int
-    violations: list[str]
-
-
 def run_distributed(
     g: Graph, seed: int, cfg: DiffusionConfig
 ) -> tuple[QueryResult, list[RoundStats]]:
     """Simulate the diffusion as lockstep rounds of message passing.
 
     Returns the query result (identical to the centralized run, float for
-    float) and one :class:`RoundStats` row per round, the row of round r at
-    position r - 1. A round that would emit zero messages is never run or
-    recorded.
+    float) and one :class:`RoundStats` row per round played, the row of
+    round r at position r - 1. RETENTION and EXCESS play a round only while
+    some active node has out-edges, so each of their rows has messages; a
+    LAZY_WALK run plays every round up to the cap, and on a graph without
+    arcs each of its rows has 0 messages.
 
     Only the nodes that send or receive mail are folded, so a round costs
     O(emitters * degree + touched), independent of graph size; the
@@ -65,9 +56,9 @@ def run_distributed(
     rounds cost O(n + arcs).
 
     A capped run whose charge vector repeats is cut short by the shared run
-    loop (see :func:`chargediff.engine._run`), which repeats the rows of one
-    period for the skipped rounds. So there is still one row per iteration,
-    equal to the row of playing that round; repeated rows are shared objects.
+    loop (see :func:`chargediff.engine._run`), and its rows end at the
+    repeat: there are ``cycle_start + period`` of them, and the row of each
+    later round follows by the rule in :class:`chargediff.engine.QueryResult`.
     """
     stats: list[RoundStats] = []
     eps = cfg.epsilon
@@ -132,7 +123,11 @@ def run_distributed(
         )
         return state.advance(new_x, eps, above)
 
-    return _run(g, seed, cfg, advance, stats), stats
+    result = _run(g, seed, cfg, advance)
+    if result.period is not None:
+        # The rounds played after the repeat, for the final charges only.
+        del stats[result.cycle_start + result.period :]
+    return result, stats
 
 
 def round_stats_table(stats: list[RoundStats]) -> str:
@@ -143,28 +138,44 @@ def round_stats_table(stats: list[RoundStats]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def total_messages(stats: list[RoundStats], result: QueryResult) -> int:
+    """Messages over all ``result.iterations`` rounds of a run and its rows.
+
+    The rows of a run that repeated end at the repeat; the rounds after it
+    repeat its last ``period`` rows, whole periods first and then a part of
+    one.
+    """
+    total = sum(s.messages_sent for s in stats)
+    if result.period is None:
+        return total
+    cycle = [s.messages_sent for s in stats[result.cycle_start :]]
+    periods, rest = divmod(result.iterations - len(stats), result.period)
+    return total + periods * sum(cycle) + sum(cycle[:rest])
+
+
 def message_complexity_report(
-    stats: list[RoundStats], bounds: Bounds, d_max: int, touched: int
-) -> MessageReport:
+    stats: list[RoundStats], result: QueryResult, bounds: Bounds, d_max: int
+) -> dict:
     """Total up a run's messages and compare against the computed bounds.
 
     The message bound is rounds * d_max * max_core_size (at most
     max_core_size transmitters per round, each with at most d_max
-    out-edges). ``touched`` is the run's touched-node count, held against
-    ``bounds.max_touched``. Each bound exceeded adds one line to
-    ``violations``.
+    out-edges), over the run's ``iterations``. The run's touched-node count
+    is held against ``bounds.max_touched``. Each bound exceeded adds one
+    line to ``violations``. The peak is the most messages of a stored row,
+    as every later round repeats one of them.
     """
-    total = sum(s.messages_sent for s in stats)
-    message_bound = len(stats) * d_max * bounds.max_core_size
+    total = total_messages(stats, result)
+    message_bound = result.iterations * d_max * bounds.max_core_size
     violations: list[str] = []
     if total > message_bound:
         violations.append(f"messages {total} exceed rounds*d_max*max_core_size = {message_bound}")
-    if touched > bounds.max_touched:
-        violations.append(f"touched {touched} exceeds max_touched {bounds.max_touched}")
-    return MessageReport(
-        total_messages=total,
-        peak_round_messages=max((s.messages_sent for s in stats), default=0),
-        message_bound=message_bound,
-        max_touched=bounds.max_touched,
-        violations=violations,
-    )
+    if result.touched > bounds.max_touched:
+        violations.append(f"touched {result.touched} exceeds max_touched {bounds.max_touched}")
+    return {
+        "total_messages": total,
+        "peak_round_messages": max((s.messages_sent for s in stats), default=0),
+        "message_bound": message_bound,
+        "max_touched": bounds.max_touched,
+        "violations": violations,
+    }

@@ -40,11 +40,13 @@ class QueryResult:
     node can transfer), ``"excess_below_delta"`` (EXCESS only) or
     ``"iteration_cap"``; the first two are the runs with ``terminated``.
     When the charge vector repeated, ``cycle_start`` is the round whose
-    vector came back and ``period`` the rounds it took; from ``cycle_start``
-    on, the excess trace and the simulator's round rows repeat with that
-    period, so entry ``i >= cycle_start`` equals entry
-    ``cycle_start + (i - cycle_start) % period``. Both are None when no
-    repeat was found.
+    vector came back and ``period`` the rounds it took; both are None when
+    no repeat was found. A run that repeated keeps its excess trace, and the
+    simulator its round rows, only up to the repeat: ``cycle_start + period``
+    entries. The entries of the rounds after that follow by the rule: entry
+    ``i >= cycle_start`` equals entry ``cycle_start + (i - cycle_start) %
+    period``, for the ``iterations + 1`` trace entries and the
+    ``iterations`` rows of playing every round.
     """
 
     seed: int
@@ -180,7 +182,6 @@ def _run(
     seed: int,
     cfg: DiffusionConfig,
     advance: Callable[[ChargeState], ChargeState],
-    rows: list | None = None,
 ) -> QueryResult:
     """The run loop shared by :func:`run_query` and the message-passing simulator.
 
@@ -199,15 +200,14 @@ def _run(
     O(touched) (bitwise, as charges are never negative or NaN; usually
     settled by the lengths alone). On a hit at round t, where the saved
     vector is that of round t0, the period is lam = t - t0: the loop skips
-    the whole periods that fit under the cap, repeats the excess trace of
-    one period for each, and plays the fewer than lam rounds left as usual.
-    A periodic capped run thus costs its settling rounds plus a period or
-    two, and still reports the cap as its ``iterations``; t0 and lam are its
-    ``cycle_start`` and ``period``. The result's ``stop_reason`` says which
-    test ended the loop. ``rows``, when given, is a caller's list of per-round
-    records that ``advance`` appends to, indexed like the trace (entry i
-    for the round that starts at round i); the skip repeats its period of
-    rows just as it repeats the trace's.
+    the whole periods that fit under the cap, plays the fewer than lam
+    rounds left for the final charges, and ends. t0 and lam are the result's
+    ``cycle_start`` and ``period``, and its ``iterations`` is the cap. The
+    excess trace holds the t0 + lam entries of rounds 0 to t - 1, and a
+    caller that records each ``advance`` keeps its first t0 + lam records;
+    those of every later round follow by the rule in :class:`QueryResult`. A
+    periodic capped run thus costs its settling rounds plus a period or two,
+    not the cap. The result's ``stop_reason`` says which test ended the loop.
     """
     validate_config(g, cfg)
     state = init_state(g, seed)
@@ -223,11 +223,10 @@ def _run(
         state = advance(state)
         if state.x == saved:
             cycle_start, period = saved_t, state.t - saved_t
-            copies = (cfg.max_iterations - state.t) // period
-            for records in (trace, rows):
-                if records is not None:
-                    records.extend(records[saved_t:state.t] * copies)
-            state = replace(state, t=state.t + copies * period)
+            state = replace(state, t=cfg.max_iterations - (cfg.max_iterations - state.t) % period)
+            while state.t < cfg.max_iterations:
+                state = advance(state)
+            break
         elif state.t - saved_t == reach:
             saved, saved_t, reach = state.x, state.t, 2 * reach
     if not terminated:

@@ -4,7 +4,8 @@ The dense brute-force twins recode the update rules from scratch on dense
 numpy vectors, deliberately sharing no arithmetic helpers with the sparse
 modules, so the two paths can cross-check each other. Sized for desk-scale
 graphs only. The audits check where a finished query's charge sits relative
-to its ever-active set.
+to its ever-active set. The round player plays every round of a run with
+``step``, to check the records a repeating run keeps once expanded.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from chargediff.diffusion import DiffusionConfig, Variant
-from chargediff.engine import QueryResult
+from chargediff.diffusion import DiffusionConfig, Variant, init_state, step
+from chargediff.engine import QueryResult, should_stop
 from chargediff.graph import Graph
 
 DESK_SCALE_LIMIT = 2000
@@ -208,3 +209,46 @@ def periphery_check(g: Graph, result: QueryResult, cfg: DiffusionConfig) -> Peri
         within_epsilon=max_halo <= cfg.epsilon,
         within_retained_floor=max_halo < cfg.epsilon * (1.0 - cfg.alpha),
     )
+
+
+def play(g, seed, cfg):
+    """Every round up to the stop or the cap, with the simulator's stats of each.
+
+    Returns the final state, whether the run stopped, the nodes ever above
+    epsilon, the excess before each round and one
+    ``(round, messages, active, total charge as hex)`` row per round. Senders,
+    activity and excess are read straight off the charge vector.
+    """
+    eps = cfg.epsilon
+    lazy = cfg.variant is Variant.LAZY_WALK
+    state = init_state(g, seed)
+    activated = {seed}
+    trace, rows = [], []
+    while True:
+        x = state.x
+        trace.append(sum([x[i] - eps for i in sorted(x) if x[i] > eps], 0.0))
+        terminated = should_stop(state, g, cfg)
+        if terminated or state.t >= cfg.max_iterations:
+            return state, terminated, activated, trace, rows
+        if lazy:
+            senders = [j for j in range(g.node_count) if g.degrees[j] > 0]
+            active = g.node_count
+        else:
+            senders = [j for j, xj in x.items() if xj > eps and g.degrees[j] > 0]
+            active = sum(xj > eps for xj in x.values())
+        state = step(state, g, cfg)
+        total = sum(state.x[i] for i in sorted(state.x))
+        rows.append((state.t, sum(g.degrees[j] for j in senders), active, total.hex()))
+        activated |= {i for i, xi in state.x.items() if xi > eps}
+
+
+def expand(entries, cycle_start, period, length):
+    """A repeating run's kept entries, ``length`` of them: from ``cycle_start`` on they repeat ``period``."""
+    if period is None:
+        return entries
+    return [entries[i if i < cycle_start else cycle_start + (i - cycle_start) % period] for i in range(length)]
+
+
+def played_rows(stats):
+    """The simulator's round stats in :func:`play`'s row form."""
+    return [(r, s.messages_sent, s.active_count, s.total_charge.hex()) for r, s in enumerate(stats, 1)]

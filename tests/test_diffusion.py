@@ -1,5 +1,6 @@
 import math
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -16,6 +17,7 @@ from chargediff.distsim import run_distributed
 from chargediff.engine import run_query
 from chargediff.generators import complete_graph, path_graph, star
 from chargediff.graph import from_edges
+from oracles import expand, play, played_rows
 
 CFG = DiffusionConfig(alpha=0.5, epsilon=0.1)
 LAZY = DiffusionConfig(variant=Variant.LAZY_WALK)
@@ -259,4 +261,14 @@ def test_runs_that_keep_whole_charges_repeat_and_jump_to_the_cap(g, cfg):
     assert abs(sum(result.final_charges.values()) - 1.0) <= 1e-12
     simulated, rows = run_distributed(g, 0, cfg)
     assert simulated == result
-    assert len(rows) == cfg.max_iterations
+    # The records end at the repeat; expanded by the rule, they are those of
+    # playing each round, checked here to three periods past it.
+    kept = result.cycle_start + result.period
+    assert len(rows) == kept
+    horizon = kept + 3 * result.period
+    _, _, _, trace, played = play(g, 0, replace(cfg, max_iterations=horizon))
+    assert played_rows(expand(rows, result.cycle_start, result.period, horizon)) == played
+    if cfg.variant is Variant.EXCESS:
+        assert len(result.excess_trace) == kept
+        full = expand(result.excess_trace, result.cycle_start, result.period, horizon + 1)
+        assert [v.hex() for v in full] == [v.hex() for v in trace]

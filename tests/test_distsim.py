@@ -14,6 +14,7 @@ from chargediff.generators import (
     star,
 )
 from chargediff.graph import from_edges, max_degree
+from oracles import play
 
 STAR = star(10)
 STAR_CFG = DiffusionConfig(alpha=0.5, epsilon=0.1)
@@ -155,36 +156,56 @@ def test_round_stats_table_shape():
 def test_message_report_star():
     result, stats = run_distributed(STAR, 0, STAR_CFG)
     bounds = compute_bounds(STAR, STAR_CFG)
-    report = message_complexity_report(
-        stats, bounds, d_max=max_degree(STAR), touched=result.touched
-    )
-    assert report.total_messages == 40
-    assert report.peak_round_messages == 10
-    # Four rounds of at most 20 senders of at most 10 arcs.
-    assert report.message_bound == 4 * 10 * 20
-    assert report.max_touched == bounds.max_touched
-    assert report.violations == []
+    report = message_complexity_report(stats, result, bounds, d_max=max_degree(STAR))
+    assert report == {
+        "total_messages": 40,
+        "peak_round_messages": 10,
+        # Four rounds of at most 20 senders of at most 10 arcs.
+        "message_bound": 4 * 10 * 20,
+        "max_touched": bounds.max_touched,
+        "violations": [],
+    }
 
 
 def test_message_report_empty_stats():
-    bounds = compute_bounds(STAR, STAR_CFG)
-    report = message_complexity_report([], bounds, d_max=10, touched=1)
-    assert report.total_messages == 0
-    assert report.peak_round_messages == 0
-    assert report.message_bound == 0
-    assert report.violations == []
+    # A seed without out-edges stops before its first round.
+    g = from_edges([], node_count=1)
+    result, stats = run_distributed(g, 0, STAR_CFG)
+    assert (result.iterations, stats) == (0, [])
+    report = message_complexity_report(stats, result, compute_bounds(STAR, STAR_CFG), d_max=10)
+    assert report["total_messages"] == 0
+    assert report["peak_round_messages"] == 0
+    assert report["message_bound"] == 0
+    assert report["violations"] == []
 
 
 def test_message_report_names_each_bound_exceeded():
     result, stats = run_distributed(STAR, 0, STAR_CFG)
     bounds = replace(compute_bounds(STAR, STAR_CFG), max_core_size=0, max_touched=5)
-    report = message_complexity_report(stats, bounds, d_max=max_degree(STAR), touched=result.touched)
+    report = message_complexity_report(stats, result, bounds, d_max=max_degree(STAR))
     assert result.touched == 11
-    assert report.violations == [
+    assert report["violations"] == [
         "messages 40 exceed rounds*d_max*max_core_size = 0",
         "touched 11 exceeds max_touched 5",
     ]
     # One bound at a time names only that one.
     bounds = replace(bounds, max_touched=11)
-    report = message_complexity_report(stats, bounds, d_max=max_degree(STAR), touched=result.touched)
-    assert report.violations == ["messages 40 exceed rounds*d_max*max_core_size = 0"]
+    report = message_complexity_report(stats, result, bounds, d_max=max_degree(STAR))
+    assert report["violations"] == ["messages 40 exceed rounds*d_max*max_core_size = 0"]
+
+
+def test_message_report_of_a_repeating_run_counts_every_round():
+    # A directed triangle with a chord repeats from round 127 with a period
+    # of 14 whose rounds send 1 to 3 messages; its rows end at the repeat,
+    # and the cap leaves 8 rounds of a last period. The report expands the
+    # rows to every round, as playing does.
+    g = from_edges([(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0), (2, 0, 1.0)], directed=True)
+    cfg = DiffusionConfig(alpha=0.5, epsilon=0.3, max_iterations=1_003)
+    result, stats = run_distributed(g, 0, cfg)
+    assert (result.cycle_start, result.period, len(stats)) == (127, 14, 141)
+    played = play(g, 0, cfg)[4]
+    bounds = compute_bounds(g, cfg)
+    report = message_complexity_report(stats, result, bounds, d_max=max_degree(g))
+    assert report["total_messages"] == sum(row[1] for row in played)
+    assert report["peak_round_messages"] == max(row[1] for row in played)
+    assert report["message_bound"] == 1_003 * 2 * bounds.max_core_size

@@ -1,25 +1,28 @@
 """Capped runs whose charge vector repeats.
 
 On a graph with n <= 1/epsilon a run cannot stop, and it settles into a
-repeating charge vector; the run loop detects the repeat and skips whole
-periods up to the cap. Every check here compares against a plain loop that
-plays each round with ``step``, so the skip must change no bit of the
-result, the excess trace or the simulator's round stats. The CLI prints
-such a trace and such rows only up to the repeat plus one period; expanded,
-they must give back the library's in full.
+repeating charge vector; the run loop detects the repeat, skips whole
+periods up to the cap, and keeps the excess trace and the simulator's round
+stats only up to the repeat. Every check here expands those by the rule and
+compares against a plain loop that plays each round with ``step``, so the
+skip must change no bit of the result, the trace or the round stats. The
+CLI prints the same kept entries; expanded, they must give back the played
+ones in full.
 """
 
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from chargediff import cli, distsim, engine
-from chargediff.diffusion import DiffusionConfig, Variant, init_state, step
-from chargediff.distsim import run_distributed
-from chargediff.engine import run_query, should_stop
+from chargediff.diffusion import DiffusionConfig, Variant
+from chargediff.distsim import run_distributed, total_messages
+from chargediff.engine import run_query
 from chargediff.generators import complete_graph
 from chargediff.graph import from_edges, serialize_edge_list
+from oracles import expand, play, played_rows
 
 TRIANGLE = from_edges([(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)])
 # At the default config this settles at round 174 into a period of 10.
@@ -29,43 +32,21 @@ GRAPHS = {"triangle": TRIANGLE, "cycle5": CYCLE5, "clique20": CLIQUE20}
 WEIGHTS = (0.25, 0.5, 1.0, 2.0, 4.0)
 
 
-def play(g, seed, cfg):
-    """Every round up to the stop or the cap, with the simulator's stats of each.
-
-    Returns the final state, whether the run stopped, the nodes ever above
-    epsilon, the excess before each round and one
-    ``(round, messages, active, total charge as hex)`` row per round. Senders,
-    activity and excess are read straight off the charge vector.
-    """
-    eps = cfg.epsilon
-    lazy = cfg.variant is Variant.LAZY_WALK
-    state = init_state(g, seed)
-    activated = {seed}
-    trace, rows = [], []
-    while True:
-        x = state.x
-        trace.append(sum([x[i] - eps for i in sorted(x) if x[i] > eps], 0.0))
-        terminated = should_stop(state, g, cfg)
-        if terminated or state.t >= cfg.max_iterations:
-            return state, terminated, activated, trace, rows
-        if lazy:
-            senders = [j for j in range(g.node_count) if g.degrees[j] > 0]
-            active = g.node_count
-        else:
-            senders = [j for j, xj in x.items() if xj > eps and g.degrees[j] > 0]
-            active = sum(xj > eps for xj in x.values())
-        state = step(state, g, cfg)
-        total = sum(state.x[i] for i in sorted(state.x))
-        rows.append((state.t, sum(g.degrees[j] for j in senders), active, total.hex()))
-        activated |= {i for i, xi in state.x.items() if xi > eps}
-
-
 def hexes(charges):
     return {i: v.hex() for i, v in charges.items() if v > 0.0}
 
 
+def kept(result):
+    """How many trace entries and rows a run keeps: up to the repeat, or every one."""
+    return None if result.period is None else result.cycle_start + result.period
+
+
 def assert_matches_played(g, seed, cfg):
-    """``run_query`` and ``run_distributed`` against :func:`play`, bit for bit."""
+    """``run_query`` and ``run_distributed`` against :func:`play`, bit for bit.
+
+    A run that repeated keeps its trace and rows up to the repeat; expanded
+    by the rule, they must be those of playing every round.
+    """
     result = run_query(g, seed, cfg)
     state, terminated, activated, trace, rows = play(g, seed, cfg)
     assert hexes(result.final_charges) == hexes(state.x)
@@ -73,13 +54,16 @@ def assert_matches_played(g, seed, cfg):
     assert result.iterations == state.t
     assert result.terminated == terminated
     if cfg.variant is Variant.EXCESS:
-        assert [v.hex() for v in result.excess_trace] == [v.hex() for v in trace]
+        assert len(result.excess_trace) == (kept(result) or result.iterations + 1)
+        full = expand(result.excess_trace, result.cycle_start, result.period, result.iterations + 1)
+        assert [v.hex() for v in full] == [v.hex() for v in trace]
     else:
         assert result.excess_trace is None
     twin, stats = run_distributed(g, seed, cfg)
     assert twin == result
-    assert len(stats) == result.iterations
-    assert [(r, s.messages_sent, s.active_count, s.total_charge.hex()) for r, s in enumerate(stats, 1)] == rows
+    assert len(stats) == (kept(result) or result.iterations)
+    assert played_rows(expand(stats, result.cycle_start, result.period, result.iterations)) == rows
+    assert total_messages(stats, result) == sum(row[1] for row in rows)
 
 
 @st.composite
@@ -158,26 +142,42 @@ def test_capped_simulation_rounds_only_until_it_repeats(monkeypatch):
     calls = []
     real = distsim.emitters
     monkeypatch.setattr(distsim, "emitters", lambda *args: calls.append(None) or real(*args))
-    result, stats = run_distributed(CYCLE5, 0, DiffusionConfig(max_iterations=200_003))
+    cfg = DiffusionConfig(max_iterations=200_003)
+    result, stats = run_distributed(CYCLE5, 0, cfg)
     assert len(calls) <= 300
-    assert result.iterations == len(stats) == 200_003
-    # The run settles at round 174 into a period of 10; every later row
-    # repeats the row one period before it.
-    assert stats[184:] == stats[174:-10]
+    # The run settles at round 174 into a period of 10. Brent's test meets
+    # the repeat from its vector saved at round 255, and the rows end there.
+    assert (result.iterations, result.cycle_start, result.period, len(stats)) == (200_003, 255, 10, 265)
+    assert_matches_played(CYCLE5, 0, cfg)
 
 
-def test_capped_simulation_repeats_its_row_objects():
-    # The skipped rounds share the row objects of the period they repeat.
-    result, stats = run_distributed(TRIANGLE, 0, DiffusionConfig())
-    assert result.iterations == len(stats) == 1_000_000
-    assert len({id(s) for s in stats}) <= 64
-
-
-def expand(entries, cycle_start, period, length):
-    """A bounded report's entries, ``length`` of them: from ``cycle_start`` on they repeat ``period``."""
-    if period is None:
-        return entries
-    return [entries[i if i < cycle_start else cycle_start + (i - cycle_start) % period] for i in range(length)]
+@pytest.mark.parametrize(
+    "g, cfg, rows, messages",
+    [
+        # Repeats from round 31 with a period of 1; each round sends 6 messages
+        # but the first, which sends 2.
+        (TRIANGLE, DiffusionConfig(), 32, 5_999_996),
+        (TRIANGLE, DiffusionConfig(variant=Variant.EXCESS), 32, 5_999_996),
+        # No arcs: each round sends nothing and the vector repeats at once.
+        (from_edges([], node_count=1), DiffusionConfig(variant=Variant.LAZY_WALK, max_iterations=5), 1, 0),
+    ],
+)
+def test_capped_run_keeps_its_records_up_to_the_repeat(g, cfg, rows, messages):
+    for run in (lambda: (run_query(g, 0, cfg), None), lambda: run_distributed(g, 0, cfg)):
+        tracemalloc.start()
+        try:
+            result, stats = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.iterations == cfg.max_iterations and not result.terminated
+        assert kept(result) == rows
+        if cfg.variant is Variant.EXCESS:
+            assert len(result.excess_trace) == rows
+        if stats is not None:
+            assert len(stats) == rows
+            assert total_messages(stats, result) == messages
+        assert peak < 1 << 20
 
 
 def run_cli(capsys, *argv):
@@ -203,15 +203,16 @@ def test_bounded_reports_expand_to_the_full_trace_and_rows(tmp_path, capsys, nam
     g = GRAPHS[name]
     cfg = DiffusionConfig(variant=variant, max_iterations=20_011)
     result = run_query(g, 0, cfg)
-    twin, stats = run_distributed(g, 0, cfg)
+    twin, _ = run_distributed(g, 0, cfg)
+    _, _, _, trace, played = play(g, 0, cfg)
     assert result.period is not None
     path = tmp_path / f"{name}.edges"
     path.write_text(serialize_edge_list(g))
     argv = ["--graph", str(path), "--seed", "0", "--variant", variant.value, "--max-iters", "20011"]
     if g.directed:
         argv.append("--directed")
-    shown = result.cycle_start + result.period
-    rows = [(s.messages_sent, s.active_count, s.total_charge.hex()) for s in stats]
+    shown = kept(result)
+    rows = [row[1:] for row in played]
 
     doc = json.loads(run_cli(capsys, "knn", *argv))["result"]
     assert (doc["stop_reason"], doc["cycle_start"], doc["period"]) == (
@@ -220,7 +221,7 @@ def test_bounded_reports_expand_to_the_full_trace_and_rows(tmp_path, capsys, nam
     if variant is Variant.EXCESS:
         assert len(doc["excess_trace"]) == shown
         full = expand(doc["excess_trace"], doc["cycle_start"], doc["period"], doc["iterations"] + 1)
-        assert [v.hex() for v in full] == [v.hex() for v in result.excess_trace]
+        assert [v.hex() for v in full] == [v.hex() for v in trace]
 
     doc = json.loads(run_cli(capsys, "simulate", *argv))
     ending = doc["result"]
@@ -228,7 +229,7 @@ def test_bounded_reports_expand_to_the_full_trace_and_rows(tmp_path, capsys, nam
         twin.stop_reason, twin.cycle_start, twin.period,
     )
     assert len(doc["rounds"]) == shown
-    assert doc["totals"] == {"rounds": len(stats), "messages": sum(s.messages_sent for s in stats)}
+    assert doc["totals"] == {"rounds": len(rows), "messages": sum(row[0] for row in rows)}
     printed = [(r["messages"], r["active"], r["total_charge"].hex()) for r in doc["rounds"]]
     assert expand(printed, ending["cycle_start"], ending["period"], doc["totals"]["rounds"]) == rows
 
@@ -237,4 +238,4 @@ def test_bounded_reports_expand_to_the_full_trace_and_rows(tmp_path, capsys, nam
     assert (cycle_start, period) == (twin.cycle_start, twin.period)
     assert [int(r[0]) for r in table] == list(range(1, shown + 1))
     printed = [(int(m), int(a), float(c).hex()) for _, m, a, c in table]
-    assert expand(printed, cycle_start, period, len(stats)) == rows
+    assert expand(printed, cycle_start, period, len(rows)) == rows
