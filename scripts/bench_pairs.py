@@ -8,7 +8,12 @@ used in turn, one per pair. For each end-to-end metric of `BENCHMARK.json`
 it prints both sides' median and quartiles and how many pairs the change
 won; a gain holds when the change wins at least nine pairs in ten (ties
 count for neither side) and the medians differ by more than the distance
-between the parent's quartiles.
+between the parent's quartiles. It also prints whether the metric stayed
+within its `bound`, a share of the parent's median: `worse` when the
+change's median is worse than the parent's by more than the bound,
+`unresolved` when it is not but the parent's quartile distance exceeds the
+bound (so the runs spread too widely to tell) and some change run does not
+beat every parent run, and `ok` otherwise.
 
     python3 scripts/bench_pairs.py --workload query-er100k --pairs 10 --seeds 3,4,5 [--rev HEAD] [--seconds 30]
 
@@ -41,7 +46,8 @@ def summarize(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> list[di
     """One row per metric from ``(parent, change)`` result lines of `perfbench/run.py`.
 
     A pair counts as a win when the change is strictly better in the
-    metric's direction; ``holds`` applies the claim rule above.
+    metric's direction; ``holds`` applies the claim rule above and
+    ``within_bound`` the bound rule.
     """
     rows = []
     for metric in end_to_end:
@@ -52,6 +58,13 @@ def summarize(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> list[di
         pq, cq = quartiles(parent), quartiles(change)
         spread = pq[2] - pq[0]
         better = (pq[1] - cq[1]) if lower else (cq[1] - pq[1])
+        beats_all = max(change) < min(parent) if lower else min(change) > max(parent)
+        if -better > metric["bound"] * abs(pq[1]):
+            within = "worse"
+        elif spread > metric["bound"] * abs(pq[1]) and not beats_all:
+            within = "unresolved"
+        else:
+            within = "ok"
         rows.append({
             "name": name,
             "unit": metric["unit"],
@@ -61,18 +74,24 @@ def summarize(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> list[di
             "pairs": len(pairs),
             "parent_iqr": spread,
             "holds": 10 * wins >= 9 * len(pairs) and better > spread,
+            "bound": metric["bound"],
+            "within_bound": within,
         })
     return rows
 
 
 def format_rows(rows: list[dict], failed: tuple[int, int]) -> str:
     lines = [f"failed runs: parent {failed[0]}, change {failed[1]}"]
-    lines.append("metric\tunit\tparent q1/median/q3\tchange q1/median/q3\tchange wins\tparent IQR\tgain holds")
+    lines.append(
+        "metric\tunit\tparent q1/median/q3\tchange q1/median/q3\tchange wins\tparent IQR\tgain holds"
+        "\tbound\twithin bound"
+    )
     for r in rows:
         p = "/".join(f"{v:.4g}" for v in r["parent"])
         c = "/".join(f"{v:.4g}" for v in r["change"])
         lines.append(
             f"{r['name']}\t{r['unit']}\t{p}\t{c}\t{r['wins']}/{r['pairs']}\t{r['parent_iqr']:.4g}\t{r['holds']}"
+            f"\t{r['bound']:g}\t{r['within_bound']}"
         )
     return "\n".join(lines)
 

@@ -31,10 +31,12 @@ class ConfigError(ValueError):
 class QueryResult:
     """Outcome of one diffusion query.
 
-    ``nn_set`` lists every node that was ever active, ascending; ``ranking``
-    orders nonzero-charge nodes by final charge descending with ascending-id
-    tie-break; ``touched`` counts nodes holding nonzero charge at the end.
-    ``excess_trace`` is populated for the EXCESS variant only.
+    ``nn_set`` lists every node that was ever active, ascending;
+    ``final_charges`` maps each node holding nonzero charge at the end to its
+    charge, in ascending id order; ``touched`` counts those nodes.
+    ``ranking`` is computed from ``final_charges`` when it is read, at
+    O(touched log touched) a read, and is not stored. ``excess_trace`` is
+    populated for the EXCESS variant only.
 
     ``stop_reason`` says why the run loop ended: ``"quiescent"`` (no active
     node can transfer), ``"excess_below_delta"`` (EXCESS only) or
@@ -51,7 +53,6 @@ class QueryResult:
 
     seed: int
     nn_set: list[int]
-    ranking: list[tuple[int, float]]
     final_charges: dict[int, float]
     iterations: int
     terminated: bool
@@ -60,6 +61,18 @@ class QueryResult:
     stop_reason: str | None = None
     cycle_start: int | None = None
     period: int | None = None
+
+    @property
+    def ranking(self) -> list[tuple[int, float]]:
+        """``(node, charge)`` pairs, charge descending, equal charges by ascending id.
+
+        Sorts the items of ``final_charges`` by charge alone with a C-level
+        key. Python's sort is stable, and ``reverse=True`` keeps it stable
+        (equal items stay in input order), so nodes of equal charge stay in
+        the ascending id order of ``final_charges``: the same ranking as a
+        sort on ``(-charge, id)``.
+        """
+        return sorted(self.final_charges.items(), key=itemgetter(1), reverse=True)
 
 
 @dataclass(frozen=True)
@@ -147,25 +160,20 @@ def build_result(
 ) -> QueryResult:
     """Assemble a QueryResult from a final charge vector.
 
-    Shared with the distributed simulator so both paths derive rankings and
-    counts identically.
+    Shared with the distributed simulator so both paths derive final
+    charges and counts identically.
 
-    ``final`` is built in ascending id order, of plain ints and floats
-    whether ``x`` is a dict or :class:`chargediff.csr.Charges`, and the
-    ranking sorts its items by charge alone with a C-level key. Python's
-    sort is stable, and ``reverse=True`` keeps it stable (equal items stay
-    in input order), so nodes of equal charge stay in ascending id order:
-    the same ranking as a sort on ``(-charge, id)``.
+    ``final_charges`` is built in ascending id order, of plain ints and
+    floats, whether ``x`` is a dict or :class:`chargediff.csr.Charges`;
+    :attr:`QueryResult.ranking` relies on that order for its ties.
     """
     if isinstance(x, dict):
         final = {i: x[i] for i in sorted(x) if x[i] > 0.0}
     else:
         final = x.positive()
-    ranking = sorted(final.items(), key=itemgetter(1), reverse=True)
     return QueryResult(
         seed=seed,
         nn_set=sorted(ever_active),
-        ranking=ranking,
         final_charges=final,
         iterations=iterations,
         terminated=terminated,

@@ -261,6 +261,47 @@ def test_repeat_query_on_a_100k_node_graph_allocates_what_it_touches():
     assert first.iterations == 4 and first.touched == 11
 
 
+def repeat_query_peak(g, seed, cfg):
+    """``(result, tracemalloc peak)`` of a query run a second time, so one-off set-up is not counted."""
+    run_query(g, seed, cfg)
+    tracemalloc.start()
+    try:
+        result = run_query(g, seed, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+# Allocator free lists move a repeat query's peak by up to about 2 kB between
+# graphs. One byte per padding node would add 2 kB at 10x and 20 kB at 100x.
+PADDING_SLACK = 4 * 2**10
+
+
+@pytest.mark.parametrize("variant", [Variant.RETENTION, Variant.EXCESS])
+@pytest.mark.parametrize("bulk_side", [True, False], ids=["numpy", "dict"])
+def test_unreachable_padding_changes_neither_the_result_nor_its_allocations(variant, bulk_side):
+    # A 200-node ER component, then 10x and 100x as many nodes in 2-node
+    # components with ids above it: the fold order and the bits stay, and a
+    # query allocates for what it touches, not for the graph. LAZY_WALK
+    # visits every node with charge or arcs by definition and is left out.
+    g0 = erdos_renyi_connected(200, 4.0, random.Random(5))
+    text = serialize_edge_list(g0)
+    cfg = DiffusionConfig(alpha=0.5, epsilon=0.02, variant=variant, delta=1e-3)
+    outcomes = []
+    for factor in (0, 10, 100):
+        padding = "".join(f"{a} {a + 1}\n" for a in range(200, 200 + factor * 200, 2))
+        g = parse_both(text + padding, False)[0 if bulk_side else 1]
+        assert g.node_count == 200 * (1 + factor)
+        result, peak = repeat_query_peak(g, 7, cfg)
+        assert result.terminated and result.touched < 200
+        outcomes.append((repr(result), peak))
+    (base, base_peak), *padded = outcomes
+    for text_repr, peak in padded:
+        assert text_repr == base
+        assert abs(peak - base_peak) <= PADDING_SLACK
+
+
 def test_charges_read_as_a_mapping_of_python_numbers():
     x = Charges.of({5: 0.25, 2: 0.0, 9: 0.75})
     assert list(x) == [2, 5, 9] and len(x) == 3

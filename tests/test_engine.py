@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chargediff import engine
 from chargediff.diffusion import DiffusionConfig, Variant
 from chargediff.distsim import run_distributed
 from chargediff.engine import (
@@ -16,6 +17,7 @@ from chargediff.engine import (
 from chargediff.generators import complete_graph, path_graph, star
 from chargediff.graph import from_edges
 from oracles import nn_subgraph_connected, periphery_check
+from test_csr import parse_both
 
 STAR = star(10)
 STAR_CFG = DiffusionConfig(alpha=0.5, epsilon=0.1)
@@ -213,7 +215,7 @@ class TestNeighborhoodChecks:
 
         g = path_graph(3)
         bare = QueryResult(
-            seed=1, nn_set=[], ranking=[], final_charges={}, iterations=0,
+            seed=1, nn_set=[], final_charges={}, iterations=0,
             terminated=True, touched=0,
         )
         assert nn_subgraph_connected(g, bare)
@@ -282,3 +284,49 @@ def test_build_result_ranks_like_the_charge_then_id_key(x):
     assert 0.0 not in res.final_charges.values()
     assert res.final_charges == dict(reference)
     assert res.touched == len(reference)
+
+
+# Texts whose queries end with equal charges on several nodes: the leaves of
+# a star, the far members of a clique, and a star whose leaf ids are not in
+# line order.
+TIED_TEXTS = {
+    "star": "".join(f"0 {i}\n" for i in range(1, 11)),
+    "two_cliques": "".join(f"{u} {v}\n" for u in range(6) for v in range(u + 1, 6))
+    + "".join(f"{u} {v}\n" for u in range(6, 12) for v in range(u + 1, 12))
+    + "5 6\n",
+    "shuffled_star": "".join(f"{i} 4\n" for i in (9, 2, 11, 0, 7, 5, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TIED_TEXTS))
+@pytest.mark.parametrize("variant", list(Variant))
+def test_ranking_is_the_charge_then_id_sort_of_the_final_charges(name, variant):
+    bulk, loop = parse_both(TIED_TEXTS[name], False)
+    seed = 4 if name == "shuffled_star" else 0
+    cfg = DiffusionConfig(alpha=0.5, epsilon=0.05, variant=variant, delta=1e-3, max_iterations=60)
+    results = [run_query(g, seed, cfg) for g in (bulk, loop)]
+    assert results[0] == results[1]
+    for res in results:
+        reference = sorted(res.final_charges.items(), key=lambda kv: (-kv[1], kv[0]))
+        assert res.ranking == reference
+        charges = [xi for _, xi in reference]
+        assert len(set(charges)) < len(charges)
+        for include_seed in (False, True):
+            ids = [i for i, _ in reference if include_seed or i != seed]
+            for k in range(1, res.touched + 2):
+                assert top_k(res, k, include_seed=include_seed) == ids[:k]
+
+
+def test_queries_leave_the_ranking_unsorted(monkeypatch):
+    # The ranking's sort key is the only itemgetter in the engine: a query,
+    # on either round and in the simulator, must not call it.
+    def no_sort(*args):
+        raise AssertionError("the ranking was built")
+
+    bulk, loop = parse_both(TIED_TEXTS["star"], False)
+    monkeypatch.setattr(engine, "itemgetter", no_sort)
+    results = [run_query(bulk, 0, STAR_CFG), run_query(loop, 0, STAR_CFG), run_distributed(loop, 0, STAR_CFG)[0]]
+    for res in results:
+        assert res.touched == 11
+        with pytest.raises(AssertionError, match="ranking was built"):
+            res.ranking

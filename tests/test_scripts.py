@@ -69,3 +69,33 @@ def test_bench_pairs_summary_counts_wins_and_applies_the_claim_rule(change_p50, 
     assert (ops["wins"], ops["pairs"], ops["holds"]) == (8, 10, False)
     table = bench_pairs.format_rows([p50, ops], (0, 0))
     assert table.splitlines()[2].startswith("op_p50_ms\tms\t10.22/10.45/10.67\t")
+
+
+WIDE = [5.0, 6.0, 7.0, 8.0, 9.0, 11.0, 12.0, 13.0, 14.0, 15.0]  # IQR 6.5 against a median of 10
+
+
+@pytest.mark.parametrize("parent_p50, change_p50, change_ops, p50_verdict, ops_verdict", [
+    # Within 25% of the parent's median on both metrics, with a tight parent.
+    ([10.0 + i / 10 for i in range(10)], [11.0] * 10, [25.0] * 10, "ok", "ok"),
+    # Median p50 13.5 against 10.45 (+29%), ops 20 against 30 (-33%): worse.
+    ([10.0 + i / 10 for i in range(10)], [13.5] * 10, [20.0] * 10, "worse", "worse"),
+    # The parent's spread is 65% of its median: the same runs cannot tell.
+    (WIDE, WIDE[::-1], [30.0] * 10, "unresolved", "ok"),
+    # ...unless every change run beats every parent run.
+    (WIDE, [4.9] * 10, [30.0] * 10, "ok", "ok"),
+    # A median worse beyond the bound reads worse whatever the spread.
+    (WIDE, [13.0] * 10, [30.0] * 10, "worse", "ok"),
+])
+def test_bench_pairs_summary_checks_each_metric_against_its_bound(
+    parent_p50, change_p50, change_ops, p50_verdict, ops_verdict
+):
+    bench_pairs = load_script("bench_pairs")
+    pairs = [
+        (json.loads(result_line(p, 30.0)), json.loads(result_line(c, co)))
+        for p, c, co in zip(parent_p50, change_p50, change_ops)
+    ]
+    p50, ops = bench_pairs.summarize(pairs, END_TO_END)
+    assert (p50["within_bound"], ops["within_bound"]) == (p50_verdict, ops_verdict)
+    table = bench_pairs.format_rows([p50, ops], (0, 0)).splitlines()
+    assert table[1].endswith("\tbound\twithin bound")
+    assert table[2].endswith(f"\t0.25\t{p50_verdict}") and table[3].endswith(f"\t0.25\t{ops_verdict}")
