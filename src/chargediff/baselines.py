@@ -66,7 +66,7 @@ def rank_nodes(scores: Mapping[int, float]) -> list[int]:
     ``scores`` lists its nodes in ascending id order, as
     :func:`personalized_pagerank` returns them. The sort is stable and
     ``reverse=True`` keeps it stable, so equal scores stay in ascending id
-    order, as in :func:`chargediff.engine.build_result`.
+    order, as in :attr:`chargediff.engine.QueryResult.ranking`.
     """
     ranked = sorted(scores.items(), key=itemgetter(1), reverse=True)
     return [i for i, score in ranked if score > 0.0]

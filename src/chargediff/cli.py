@@ -204,12 +204,7 @@ def _cmd_simulate(args) -> int:
 
     graph, labels, cfg, seed, warnings = _prepare_query(args)
     result, stats = run_distributed(graph, seed, cfg)
-    central = run_query(graph, seed, cfg)
-    match = (
-        central.final_charges == result.final_charges
-        and central.nn_set == result.nn_set
-        and central.iterations == result.iterations
-    )
+    match = run_query(graph, seed, cfg) == result
     if not result.terminated:
         print("warning: iteration cap reached without termination", file=sys.stderr)
     note = None

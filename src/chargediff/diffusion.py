@@ -78,7 +78,9 @@ class ChargeState:
 
     ``ever_active`` accumulates every node that has satisfied the activity
     predicate at any observed iteration, including the current one; at the end
-    of a run it is the nearest-neighbor candidate set.
+    of a run it is the nearest-neighbor candidate set. A state does not keep
+    its seed: the run loop that starts it holds the seed and hands it to
+    :func:`chargediff.engine.build_result`.
 
     ``frontier`` holds the ids whose charge is above epsilon, ascending: the
     active nodes, at most 1/((1-alpha)*epsilon) of them. Its kind follows
@@ -93,7 +95,6 @@ class ChargeState:
     x: dict[int, float] | Charges
     t: int
     ever_active: set[int]
-    seed: int
     frontier: Sequence[int] | None = field(default=None, repr=False, compare=False)
 
     def active(self, epsilon: float) -> Sequence[int]:
@@ -126,9 +127,7 @@ class ChargeState:
         if risen:
             frontier = sorted(set(frontier).union(risen))
         self.ever_active.update(frontier)
-        return ChargeState(
-            x=x, t=self.t + 1, ever_active=self.ever_active, seed=self.seed, frontier=frontier
-        )
+        return ChargeState(x=x, t=self.t + 1, ever_active=self.ever_active, frontier=frontier)
 
 
 def init_state(g: Graph, seed: int) -> ChargeState:
@@ -136,7 +135,7 @@ def init_state(g: Graph, seed: int) -> ChargeState:
     if not 0 <= seed < g.node_count:
         raise ValueError(f"seed {seed} out of range for graph with {g.node_count} nodes")
     # Unit charge exceeds any valid epsilon < 1, so the seed starts active.
-    return ChargeState(x={seed: 1.0}, t=0, ever_active={seed}, seed=seed, frontier=[seed])
+    return ChargeState(x={seed: 1.0}, t=0, ever_active={seed}, frontier=[seed])
 
 
 def split_terms(cfg: DiffusionConfig) -> tuple[float, float, float]:
@@ -235,7 +234,7 @@ def step(state: ChargeState, g: Graph, cfg: DiffusionConfig) -> ChargeState:
         # the risen ids are new; a dict state (the first round, or one built
         # by hand) adds the whole new frontier, as the dict round does.
         state.ever_active.update(frontier.tolist() if isinstance(x, dict) else risen)
-        return ChargeState(charges, state.t + 1, state.ever_active, state.seed, frontier)
+        return ChargeState(charges, state.t + 1, state.ever_active, frontier)
 
     split = splitter(cfg)
     new_x = dict(x)

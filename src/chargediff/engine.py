@@ -33,14 +33,17 @@ class QueryResult:
 
     ``nn_set`` lists every node that was ever active, ascending;
     ``final_charges`` maps each node holding nonzero charge at the end to its
-    charge, in ascending id order; ``touched`` counts those nodes.
-    ``ranking`` is computed from ``final_charges`` when it is read, at
-    O(touched log touched) a read, and is not stored. ``excess_trace`` is
-    populated for the EXCESS variant only.
+    charge, in ascending id order. ``excess_trace`` is populated for the
+    EXCESS variant only.
 
-    ``stop_reason`` says why the run loop ended: ``"quiescent"`` (no active
-    node can transfer), ``"excess_below_delta"`` (EXCESS only) or
-    ``"iteration_cap"``; the first two are the runs with ``terminated``.
+    ``stop_reason`` says why the run loop ended: the reason
+    :func:`should_stop` named (``"quiescent"``: no active node can
+    transfer; ``"excess_below_delta"``: EXCESS only), or
+    ``"iteration_cap"``. Three facts follow from the stored ones and are
+    properties, not fields: ``terminated`` (the run stopped before the
+    cap), ``touched`` (the nodes of ``final_charges``) and ``ranking``
+    (sorted when read, at O(touched log touched) a read).
+
     When the charge vector repeated, ``cycle_start`` is the round whose
     vector came back and ``period`` the rounds it took; both are None when
     no repeat was found. A run that repeated keeps its excess trace, and the
@@ -55,12 +58,20 @@ class QueryResult:
     nn_set: list[int]
     final_charges: dict[int, float]
     iterations: int
-    terminated: bool
-    touched: int
+    stop_reason: str
     excess_trace: list[float] | None = None
-    stop_reason: str | None = None
     cycle_start: int | None = None
     period: int | None = None
+
+    @property
+    def terminated(self) -> bool:
+        """Whether the stop test ended the run, rather than the iteration cap."""
+        return self.stop_reason != "iteration_cap"
+
+    @property
+    def touched(self) -> int:
+        """How many nodes hold nonzero charge at the end."""
+        return len(self.final_charges)
 
     @property
     def ranking(self) -> list[tuple[int, float]]:
@@ -115,36 +126,49 @@ def validate_config(g: Graph, cfg: DiffusionConfig) -> list[str]:
                 f"n={n} <= 1/epsilon={1.0 / cfg.epsilon:g}: some node always stays "
                 "above the threshold, so the run cannot terminate"
             )
-        if n < 1.0 / ((1.0 - cfg.alpha) * cfg.epsilon):
+        core = _core_limit(cfg)
+        if n < core:
             warnings.append(
-                f"n={n} is below 1/((1-alpha)*epsilon)="
-                f"{1.0 / ((1.0 - cfg.alpha) * cfg.epsilon):g}, the size precondition "
+                f"n={n} is below 1/((1-alpha)*epsilon)={core:g}, the size precondition "
                 "the candidate-set guarantees assume"
             )
     return warnings
 
 
+def _core_limit(cfg: DiffusionConfig) -> float:
+    """1/((1-alpha)*epsilon), the bound on the candidate set before flooring.
+
+    inf where the product underflows to 0, as it does for a subnormal epsilon.
+    """
+    product = (1.0 - cfg.alpha) * cfg.epsilon
+    return 1.0 / product if product > 0.0 else math.inf
+
+
 def should_stop(
     state: ChargeState, g: Graph, cfg: DiffusionConfig, *, excess: float | None = None
-) -> bool:
-    """Termination predicate evaluated on a round-start state.
+) -> str | None:
+    """Why a run stops at this round-start state, or None while it goes on.
 
-    RETENTION stops when no active node can transfer (stuck active nodes do
-    not keep a run alive), which it reads off the state's frontier in
-    O(frontier). EXCESS additionally stops once total excess falls below
+    EXCESS stops with ``"excess_below_delta"`` once total excess falls below
     delta; ``excess`` is that total when the caller already has it (the run
     loop passes the value it traced this round), otherwise it is computed
-    here. LAZY_WALK never stops on its own; only the iteration cap ends it.
+    here. RETENTION, and an EXCESS run not yet below delta, stop with
+    ``"quiescent"`` when no active node can transfer (stuck active nodes do
+    not keep a run alive), which is read off the state's frontier in
+    O(frontier). LAZY_WALK never stops on its own; only the iteration cap
+    ends it. The excess test comes first, so a state that passes both is
+    ``"excess_below_delta"``. Either reason is truthy and None is not, so
+    the value also reads as a bool.
     """
     if cfg.variant is Variant.LAZY_WALK:
-        return False
+        return None
     if cfg.variant is Variant.EXCESS:
         if excess is None:
             excess = excess_total(state, cfg)
         if excess < cfg.delta:
-            return True
+            return "excess_below_delta"
     degrees = g.degrees
-    return not any(degrees[i] > 0 for i in state.active(cfg.epsilon))
+    return None if any(degrees[i] > 0 for i in state.active(cfg.epsilon)) else "quiescent"
 
 
 def build_result(
@@ -152,16 +176,12 @@ def build_result(
     ever_active: set[int],
     seed: int,
     iterations: int,
-    terminated: bool,
+    stop_reason: str,
     excess_trace: list[float] | None = None,
-    stop_reason: str | None = None,
     cycle_start: int | None = None,
     period: int | None = None,
 ) -> QueryResult:
-    """Assemble a QueryResult from a final charge vector.
-
-    Shared with the distributed simulator so both paths derive final
-    charges and counts identically.
+    """Assemble a QueryResult from the run loop's final charge vector.
 
     ``final_charges`` is built in ascending id order, of plain ints and
     floats, whether ``x`` is a dict or :class:`chargediff.csr.Charges`;
@@ -176,10 +196,8 @@ def build_result(
         nn_set=sorted(ever_active),
         final_charges=final,
         iterations=iterations,
-        terminated=terminated,
-        touched=len(final),
-        excess_trace=excess_trace,
         stop_reason=stop_reason,
+        excess_trace=excess_trace,
         cycle_start=cycle_start,
         period=period,
     )
@@ -194,8 +212,9 @@ def _run(
     """The run loop shared by :func:`run_query` and the message-passing simulator.
 
     It validates the config, starts from unit charge on ``seed``, keeps the
-    excess trace, and before each round applies the stop predicate
-    (terminated=True) and then the iteration cap (terminated=False).
+    excess trace, and before each round applies the stop predicate and then
+    the iteration cap. The result's ``stop_reason`` is the reason
+    :func:`should_stop` named, or ``"iteration_cap"``.
     ``advance`` plays one round and returns the next state: :func:`step`
     for the centralized engine, the mail-and-fold round for the simulator.
 
@@ -215,7 +234,7 @@ def _run(
     caller that records each ``advance`` keeps its first t0 + lam records;
     those of every later round follow by the rule in :class:`QueryResult`. A
     periodic capped run thus costs its settling rounds plus a period or two,
-    not the cap. The result's ``stop_reason`` says which test ended the loop.
+    not the cap.
     """
     validate_config(g, cfg)
     state = init_state(g, seed)
@@ -225,8 +244,8 @@ def _run(
     while True:
         if trace is not None:
             trace.append(excess_total(state, cfg))
-        terminated = should_stop(state, g, cfg, excess=trace[-1] if trace else None)
-        if terminated or state.t >= cfg.max_iterations:
+        reason = should_stop(state, g, cfg, excess=trace[-1] if trace else None)
+        if reason or state.t >= cfg.max_iterations:
             break
         state = advance(state)
         if state.x == saved:
@@ -237,25 +256,18 @@ def _run(
             break
         elif state.t - saved_t == reach:
             saved, saved_t, reach = state.x, state.t, 2 * reach
-    if not terminated:
-        reason = "iteration_cap"
-    elif trace is not None and trace[-1] < cfg.delta:
-        # should_stop tests the excess before the frontier.
-        reason = "excess_below_delta"
-    else:
-        reason = "quiescent"
     return build_result(
-        state.x, state.ever_active, seed, state.t, terminated, trace, reason, cycle_start, period
+        state.x, state.ever_active, seed, state.t, reason or "iteration_cap", trace, cycle_start, period
     )
 
 
 def run_query(g: Graph, seed: int, cfg: DiffusionConfig) -> QueryResult:
     """Drive the configured diffusion from ``seed`` until it stops.
 
-    Stops when :func:`should_stop` fires (terminated=True) or when the
-    iteration cap is hit (terminated=False). The cap is a legitimate outcome,
-    not an error: graphs with n <= 1/epsilon never terminate by design.
-    Such a run settles into a repeating charge vector, and the run loop
+    Stops when :func:`should_stop` names a reason or when the iteration
+    cap is hit (``stop_reason`` ``"iteration_cap"``, not ``terminated``).
+    The cap is a legitimate outcome, not an error: graphs with
+    n <= 1/epsilon never terminate by design. Such a run settles into a repeating charge vector, and the run loop
     jumps over its repeats to the cap, so it costs the rounds to settle
     plus about one period, not the cap.
     """
@@ -292,16 +304,20 @@ def compute_bounds(g: Graph, cfg: DiffusionConfig) -> Bounds:
     max_core_size bounds the ever-active set, max_touched the nodes that can
     hold nonzero charge, max_iterations_bound the rounds to termination, and
     excess_stop_bound the rounds for total excess to decay below delta under
-    a geometric alpha rate.
+    a geometric alpha rate. A config so small that the first two overflow an
+    int, or a denominator underflows to 0, raises ConfigError.
     """
     if cfg.epsilon <= 0.0:
         raise ConfigError("bounds require epsilon > 0")
     validate_config(g, cfg)
     alpha, eps = cfg.alpha, cfg.epsilon
     d_max = max_degree(g)
-    core = _floor_tol(1.0 / ((1.0 - alpha) * eps))
-    touched = _floor_tol(d_max / (alpha * eps))
-    iter_bound = (1.0 - (1.0 - alpha) * eps) * d_max / (alpha * (1.0 - alpha) * eps * eps)
+    try:
+        core = _floor_tol(_core_limit(cfg))
+        touched = _floor_tol(d_max / (alpha * eps))
+        iter_bound = (1.0 - (1.0 - alpha) * eps) * d_max / (alpha * (1.0 - alpha) * eps * eps)
+    except (OverflowError, ZeroDivisionError):
+        raise ConfigError(f"alpha={alpha} and epsilon={eps} are too small for finite bounds") from None
     stop_bound = math.log(cfg.delta) / math.log(alpha)
     return Bounds(
         max_core_size=core,

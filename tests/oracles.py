@@ -214,10 +214,11 @@ def periphery_check(g: Graph, result: QueryResult, cfg: DiffusionConfig) -> Peri
 def play(g, seed, cfg):
     """Every round up to the stop or the cap, with the simulator's stats of each.
 
-    Returns the final state, whether the run stopped, the nodes ever above
-    epsilon, the excess before each round and one
-    ``(round, messages, active, total charge as hex)`` row per round. Senders,
-    activity and excess are read straight off the charge vector.
+    Returns the final state, the reason :func:`should_stop` named (None for
+    a run the cap ended), the nodes ever above epsilon, the excess before
+    each round and one ``(round, messages, active, total charge as hex)``
+    row per round. Senders, activity and excess are read straight off the
+    charge vector.
     """
     eps = cfg.epsilon
     lazy = cfg.variant is Variant.LAZY_WALK
@@ -227,9 +228,9 @@ def play(g, seed, cfg):
     while True:
         x = state.x
         trace.append(sum([x[i] - eps for i in sorted(x) if x[i] > eps], 0.0))
-        terminated = should_stop(state, g, cfg)
-        if terminated or state.t >= cfg.max_iterations:
-            return state, terminated, activated, trace, rows
+        reason = should_stop(state, g, cfg)
+        if reason or state.t >= cfg.max_iterations:
+            return state, reason, activated, trace, rows
         if lazy:
             senders = [j for j in range(g.node_count) if g.degrees[j] > 0]
             active = g.node_count

@@ -306,6 +306,28 @@ def test_bounds_zero_epsilon_exits_1(capsys, star_file):
     assert code == 1
 
 
+@pytest.mark.parametrize("command", ["knn", "simulate", "bounds", "compare"])
+@pytest.mark.parametrize(
+    "option",
+    [("--epsilon", e) for e in ("5e-324", "1e-200", "1e-300", "1e-310")] + [("--alpha", "1e-310")],
+    ids="=".join,
+)
+def test_tiny_in_range_parameters_end_without_a_traceback(triangle_file, command, option):
+    # Where these parameters put a bound beyond a float, the command ends in an error line.
+    seed = () if command == "bounds" else ("--seed", "0")
+    proc = subprocess.run(
+        [sys.executable, "-m", "chargediff", command, "--graph", triangle_file, *seed, *option,
+         "--max-iters", "50"],
+        capture_output=True, text=True, env=CHILD_ENV,
+    )
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode in (0, 1)
+    if command == "bounds":
+        assert proc.returncode == 1
+    if proc.returncode == 1:
+        assert proc.stderr.splitlines()[-1].startswith("error: ")
+
+
 def test_compare_star(capsys, star_file):
     code, out, _ = run_cli(
         capsys, "compare", "--graph", star_file, "--seed", "0",

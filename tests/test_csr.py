@@ -115,7 +115,7 @@ def test_numpy_round_from_a_hand_built_dict_state(case, cfg, charges, steps):
     text, directed, relabel = case
     bulk, loop = parse_both(text, directed, relabel)
     x = {i % bulk.node_count: c for i, c in charges.items()}
-    fast, slow, ref = (ChargeState(x=dict(x), t=0, ever_active=set(), seed=0) for _ in range(3))
+    fast, slow, ref = (ChargeState(x=dict(x), t=0, ever_active=set()) for _ in range(3))
     for _ in range(steps):
         fast, slow, ref = step(fast, bulk, cfg), step(slow, loop, cfg), reference_step(ref, loop, cfg)
         assert_same_state(fast, slow, ref)

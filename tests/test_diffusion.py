@@ -51,7 +51,7 @@ def test_init_state_rejects_bad_seed():
 
 def test_is_active_is_strict():
     # A charge exactly at epsilon is not active; one just above it is.
-    state = ChargeState(x={0: 0.1, 1: 0.1 + 1e-15, 2: 0.0}, t=0, ever_active=set(), seed=0)
+    state = ChargeState(x={0: 0.1, 1: 0.1 + 1e-15, 2: 0.0}, t=0, ever_active=set())
     assert state.active(0.1) == [1]
 
 
@@ -80,7 +80,7 @@ def test_retention_triangle_two_steps_exact():
 
 def test_retention_fixed_point_when_nobody_active():
     g = path_graph(4)
-    state = ChargeState(x={0: 0.05, 1: 0.1, 2: 0.02}, t=3, ever_active={0}, seed=0)
+    state = ChargeState(x={0: 0.05, 1: 0.1, 2: 0.02}, t=3, ever_active={0})
     after = step(state, g, CFG)
     assert after.x == state.x
     assert after.t == 4
@@ -121,16 +121,16 @@ def test_excess_star_geometric_decay_and_quiet_leaves():
 def test_excess_fixed_point_when_nobody_active():
     g = path_graph(3)
     cfg = DiffusionConfig(alpha=0.5, epsilon=0.1, variant=Variant.EXCESS, delta=0.01)
-    state = ChargeState(x={0: 0.1, 1: 0.08}, t=0, ever_active=set(), seed=0)
+    state = ChargeState(x={0: 0.1, 1: 0.08}, t=0, ever_active=set())
     after = step(state, g, cfg)
     assert after.x == state.x
 
 
 def test_excess_total_basics():
     cfg = DiffusionConfig(alpha=0.5, epsilon=0.1, variant=Variant.EXCESS, delta=0.01)
-    top = ChargeState(x={0: 1.0}, t=0, ever_active={0}, seed=0)
+    top = ChargeState(x={0: 1.0}, t=0, ever_active={0})
     assert excess_total(top, cfg) == 0.9
-    flat = ChargeState(x={0: 0.1, 1: 0.05, 2: 0.1}, t=0, ever_active=set(), seed=0)
+    flat = ChargeState(x={0: 0.1, 1: 0.05, 2: 0.1}, t=0, ever_active=set())
     assert excess_total(flat, cfg) == 0.0
 
 
@@ -142,7 +142,7 @@ def test_lazy_walk_triangle_one_step():
 
 def test_lazy_walk_uniform_is_stationary_on_regular_graph():
     g = from_edges([(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)])
-    state = ChargeState(x={i: 0.25 for i in range(4)}, t=0, ever_active=set(), seed=0)
+    state = ChargeState(x={i: 0.25 for i in range(4)}, t=0, ever_active=set())
     after = step(state, g, LAZY)
     assert after.x == {i: 0.25 for i in range(4)}
 

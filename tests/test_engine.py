@@ -4,18 +4,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chargediff import engine
-from chargediff.diffusion import DiffusionConfig, Variant
+from chargediff.diffusion import DiffusionConfig, Variant, init_state, step
 from chargediff.distsim import run_distributed
 from chargediff.engine import (
     ConfigError,
     build_result,
     compute_bounds,
     run_query,
+    should_stop,
     top_k,
     validate_config,
 )
 from chargediff.generators import complete_graph, path_graph, star
-from chargediff.graph import from_edges
+from chargediff.graph import from_edges, serialize_edge_list
 from oracles import nn_subgraph_connected, periphery_check
 from test_csr import parse_both
 
@@ -139,12 +140,25 @@ STOP_CASES = {
 @pytest.mark.parametrize("case", sorted(STOP_CASES))
 def test_stop_reason_and_repeat(case):
     g, seed, cfg, reason, repeat = STOP_CASES[case]
-    res = run_query(g, seed, cfg)
-    assert res.stop_reason == reason
-    assert res.terminated == (reason != "iteration_cap")
-    assert (res.cycle_start, res.period) == repeat
-    # The simulator shares the run loop, so it reports the same ending.
-    assert run_distributed(g, seed, cfg)[0] == res
+    # The same graph from the bulk parse (numpy round) and the line loop (dict round).
+    bulk, loop = parse_both(serialize_edge_list(g), g.directed)
+    assert loop == g
+    results = []
+    for h in (bulk, loop):
+        res = run_query(h, seed, cfg)
+        assert res.stop_reason == reason
+        assert res.terminated == (reason != "iteration_cap")
+        assert (res.cycle_start, res.period) == repeat
+        # The stop test names the reason on the state the run ended in, and
+        # None on that of a capped run.
+        state = init_state(h, seed)
+        while state.t < res.iterations:
+            state = step(state, h, cfg)
+        assert should_stop(state, h, cfg) == (reason if res.terminated else None)
+        # The simulator shares the run loop, so it reports the same ending.
+        assert run_distributed(h, seed, cfg)[0] == res
+        results.append(res)
+    assert results[0] == results[1]
 
 
 class TestTopK:
@@ -214,10 +228,7 @@ class TestNeighborhoodChecks:
         from chargediff.engine import QueryResult
 
         g = path_graph(3)
-        bare = QueryResult(
-            seed=1, nn_set=[], final_charges={}, iterations=0,
-            terminated=True, touched=0,
-        )
+        bare = QueryResult(seed=1, nn_set=[], final_charges={}, iterations=0, stop_reason="quiescent")
         assert nn_subgraph_connected(g, bare)
 
     def test_star_periphery_report(self):
@@ -275,7 +286,7 @@ CHARGE_POOL = (0.0, 5e-324, 0.125, 0.1, 0.3, 0.25, 1.0)
 def test_build_result_ranks_like_the_charge_then_id_key(x):
     # Keys arrive in random order and some hold 0.0; the ranking must equal
     # the (-charge, id) sort it replaced, kept here as the reference.
-    res = build_result(x, set(), 0, 1, True)
+    res = build_result(x, set(), 0, 1, "quiescent")
     reference = sorted(
         ((i, xi) for i, xi in x.items() if xi > 0.0), key=lambda kv: (-kv[1], kv[0])
     )

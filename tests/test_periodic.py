@@ -48,11 +48,11 @@ def assert_matches_played(g, seed, cfg):
     by the rule, they must be those of playing every round.
     """
     result = run_query(g, seed, cfg)
-    state, terminated, activated, trace, rows = play(g, seed, cfg)
+    state, reason, activated, trace, rows = play(g, seed, cfg)
     assert hexes(result.final_charges) == hexes(state.x)
     assert result.nn_set == sorted(activated)
     assert result.iterations == state.t
-    assert result.terminated == terminated
+    assert result.stop_reason == (reason or "iteration_cap")
     if cfg.variant is Variant.EXCESS:
         assert len(result.excess_trace) == (kept(result) or result.iterations + 1)
         full = expand(result.excess_trace, result.cycle_start, result.period, result.iterations + 1)

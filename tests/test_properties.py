@@ -103,7 +103,7 @@ def reference_step(state: ChargeState, g, cfg: DiffusionConfig) -> ChargeState:
             acc += amount
         new_x[i] = acc
     state.ever_active.update(i for i, xi in new_x.items() if xi > eps)
-    return ChargeState(x=new_x, t=state.t + 1, ever_active=state.ever_active, seed=state.seed)
+    return ChargeState(x=new_x, t=state.t + 1, ever_active=state.ever_active)
 
 
 def bits(x):
@@ -137,8 +137,8 @@ def test_step_matches_reference_round_bit_for_bit(g, cfg, seed_frac, steps):
 
 def step_like_reference(g, cfg, x, rounds):
     """Step a hand-built state, checking bits and key order against the reference."""
-    state = ChargeState(x=dict(x), t=0, ever_active=set(), seed=0)
-    ref = ChargeState(x=dict(x), t=0, ever_active=set(), seed=0)
+    state = ChargeState(x=dict(x), t=0, ever_active=set())
+    ref = ChargeState(x=dict(x), t=0, ever_active=set())
     for _ in range(rounds):
         state = step(state, g, cfg)
         ref = reference_step(ref, g, cfg)
@@ -198,8 +198,8 @@ def test_distinct_weights_of_equal_ratios_match_reference_round():
         DiffusionConfig(variant=Variant.LAZY_WALK),
     ):
         for h in (g, bulk):
-            state = ChargeState(x={0: 0.7, 1: 0.3}, t=0, ever_active=set(), seed=0)
-            ref = ChargeState(x={0: 0.7, 1: 0.3}, t=0, ever_active=set(), seed=0)
+            state = ChargeState(x={0: 0.7, 1: 0.3}, t=0, ever_active=set())
+            ref = ChargeState(x={0: 0.7, 1: 0.3}, t=0, ever_active=set())
             for _ in range(8):
                 state, ref = step(state, h, cfg), reference_step(ref, g, cfg)
                 assert sorted(bits(state.x)) == sorted(bits(ref.x))
@@ -215,7 +215,7 @@ def test_excess_of_matches_max_form(x, epsilon):
     # Charges equal to epsilon give exact zero terms in the max() form.
     x = {**x, 31: epsilon}
     expected = sum(max(x[i] - epsilon, 0.0) for i in sorted(x))
-    state = ChargeState(x=x, t=0, ever_active=set(), seed=0)
+    state = ChargeState(x=x, t=0, ever_active=set())
     assert excess_total(state, DiffusionConfig(epsilon=epsilon)).hex() == expected.hex()
 
 
@@ -248,9 +248,9 @@ def test_frontier_is_the_nodes_above_epsilon(g, cfg, charges, steps):
     else:
         # Built by hand: the frontier is derived from x on first use.
         x = {i % g.node_count: c for i, c in charges.items()}
-        state = ChargeState(x=x, t=0, ever_active=set(), seed=0)
+        state = ChargeState(x=x, t=0, ever_active=set())
     eps = cfg.epsilon
-    ref = ChargeState(x=dict(state.x), t=0, ever_active=set(state.ever_active), seed=0)
+    ref = ChargeState(x=dict(state.x), t=0, ever_active=set(state.ever_active))
     assert state.active(eps) == above(state.x, eps)
     for _ in range(steps):
         state = step(state, g, cfg)
@@ -272,7 +272,7 @@ def test_serialize_parse_round_trip(g, directed):
 def test_fixed_point_when_nobody_active(g, charges):
     cfg = DiffusionConfig(alpha=0.5, epsilon=0.1)
     x = {i % g.node_count: c for i, c in enumerate(charges)}
-    before = ChargeState(x=dict(x), t=0, ever_active=set(), seed=0)
+    before = ChargeState(x=dict(x), t=0, ever_active=set())
     after = step(before, g, cfg)
     assert after.x == x
 
@@ -372,9 +372,9 @@ def test_terminated_state_is_a_fixed_point_of_should_stop(g, cfg):
     if result.terminated and cfg.variant is not Variant.LAZY_WALK:
         state = ChargeState(
             x=dict(result.final_charges), t=result.iterations,
-            ever_active=set(result.nn_set), seed=0,
+            ever_active=set(result.nn_set),
         )
-        assert should_stop(state, g, cfg)
+        assert should_stop(state, g, cfg) == result.stop_reason
         if cfg.variant is Variant.RETENTION:
             after = step(state, g, cfg)
             assert after.x == state.x
