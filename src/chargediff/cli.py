@@ -203,6 +203,8 @@ def _cmd_simulate(args) -> int:
     )
 
     graph, labels, cfg, seed, warnings = _prepare_query(args)
+    # Before either run, so that a config without finite bounds plays none.
+    bounds = compute_bounds(graph, cfg) if cfg.epsilon > 0.0 else None
     result, stats = run_distributed(graph, seed, cfg)
     match = run_query(graph, seed, cfg) == result
     if not result.terminated:
@@ -211,8 +213,7 @@ def _cmd_simulate(args) -> int:
     if graph.degrees[seed] == 0:
         note = "seed has no out-edges; nothing to simulate"
     complexity = None
-    if cfg.epsilon > 0.0:
-        bounds = compute_bounds(graph, cfg)
+    if bounds is not None:
         complexity = message_complexity_report(stats, result, bounds, max_degree(graph))
     echo = _config_echo(args, cfg)
     if args.format == "tsv":

@@ -111,8 +111,7 @@ def validate_config(g: Graph, cfg: DiffusionConfig) -> list[str]:
     if cfg.variant is not Variant.LAZY_WALK and not 0.0 < cfg.epsilon < 1.0:
         raise ConfigError(f"epsilon must be in (0, 1), got {cfg.epsilon}")
     if cfg.variant is Variant.EXCESS:
-        if not 0.0 < cfg.delta < 1.0:
-            raise ConfigError(f"delta must be in (0, 1), got {cfg.delta}")
+        _check_delta(cfg)
         if cfg.delta >= cfg.epsilon:
             raise ConfigError(f"delta must be below epsilon, got delta={cfg.delta} epsilon={cfg.epsilon}")
     if cfg.max_iterations < 1:
@@ -133,6 +132,11 @@ def validate_config(g: Graph, cfg: DiffusionConfig) -> list[str]:
                 "the candidate-set guarantees assume"
             )
     return warnings
+
+
+def _check_delta(cfg: DiffusionConfig) -> None:
+    if not 0.0 < cfg.delta < 1.0:
+        raise ConfigError(f"delta must be in (0, 1), got {cfg.delta}")
 
 
 def _core_limit(cfg: DiffusionConfig) -> float:
@@ -304,8 +308,9 @@ def compute_bounds(g: Graph, cfg: DiffusionConfig) -> Bounds:
     max_core_size bounds the ever-active set, max_touched the nodes that can
     hold nonzero charge, max_iterations_bound the rounds to termination, and
     excess_stop_bound the rounds for total excess to decay below delta under
-    a geometric alpha rate. A config so small that the first two overflow an
-    int, or a denominator underflows to 0, raises ConfigError.
+    a geometric alpha rate. The last reads delta under every variant, so a
+    delta outside (0, 1) raises ConfigError, as does a config so small that
+    a bound is not finite.
     """
     if cfg.epsilon <= 0.0:
         raise ConfigError("bounds require epsilon > 0")
@@ -316,8 +321,12 @@ def compute_bounds(g: Graph, cfg: DiffusionConfig) -> Bounds:
         core = _floor_tol(_core_limit(cfg))
         touched = _floor_tol(d_max / (alpha * eps))
         iter_bound = (1.0 - (1.0 - alpha) * eps) * d_max / (alpha * (1.0 - alpha) * eps * eps)
+        finite = math.isfinite(iter_bound)
     except (OverflowError, ZeroDivisionError):
-        raise ConfigError(f"alpha={alpha} and epsilon={eps} are too small for finite bounds") from None
+        finite = False
+    if not finite:
+        raise ConfigError(f"alpha={alpha} and epsilon={eps} are too small for finite bounds")
+    _check_delta(cfg)
     stop_bound = math.log(cfg.delta) / math.log(alpha)
     return Bounds(
         max_core_size=core,

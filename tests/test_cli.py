@@ -306,14 +306,20 @@ def test_bounds_zero_epsilon_exits_1(capsys, star_file):
     assert code == 1
 
 
+def reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
 @pytest.mark.parametrize("command", ["knn", "simulate", "bounds", "compare"])
 @pytest.mark.parametrize(
     "option",
-    [("--epsilon", e) for e in ("5e-324", "1e-200", "1e-300", "1e-310")] + [("--alpha", "1e-310")],
+    [("--epsilon", e) for e in ("5e-324", "1e-160", "1e-200", "1e-300", "1e-310")]
+    + [("--alpha", "1e-310"), ("--delta", "2"), ("--delta", "0")],
     ids="=".join,
 )
 def test_tiny_in_range_parameters_end_without_a_traceback(triangle_file, command, option):
-    # Where these parameters put a bound beyond a float, the command ends in an error line.
+    # Each of these configs puts a bound beyond a float, or delta outside (0, 1),
+    # so the commands that report bounds end in an error line before any run.
     seed = () if command == "bounds" else ("--seed", "0")
     proc = subprocess.run(
         [sys.executable, "-m", "chargediff", command, "--graph", triangle_file, *seed, *option,
@@ -322,10 +328,15 @@ def test_tiny_in_range_parameters_end_without_a_traceback(triangle_file, command
     )
     assert "Traceback" not in proc.stderr
     assert proc.returncode in (0, 1)
-    if command == "bounds":
+    if command in ("bounds", "simulate"):
         assert proc.returncode == 1
-    if proc.returncode == 1:
+    if proc.returncode == 0:
+        json.loads(proc.stdout, parse_constant=reject_constant)
+    else:
         assert proc.stderr.splitlines()[-1].startswith("error: ")
+        assert "iteration cap" not in proc.stderr
+    if command in ("bounds", "simulate") and option[0] == "--delta":
+        assert proc.stderr.splitlines()[-1] == f"error: delta must be in (0, 1), got {float(option[1])}"
 
 
 def test_compare_star(capsys, star_file):
