@@ -8,12 +8,15 @@ used in turn, one per pair. For each end-to-end metric of `BENCHMARK.json`
 it prints both sides' median and quartiles and how many pairs the change
 won; a gain holds when the change wins at least nine pairs in ten (ties
 count for neither side) and the medians differ by more than the distance
-between the parent's quartiles. It also prints whether the metric stayed
-within its `bound`, a share of the parent's median: `worse` when the
-change's median is worse than the parent's by more than the bound,
-`unresolved` when it is not but the parent's quartile distance exceeds the
-bound (so the runs spread too widely to tell) and some change run does not
-beat every parent run, and `ok` otherwise.
+between the parent's quartiles. The seed picks the input variant (the graph
+a run queries), so that distance is taken within each variant: each parent
+run is divided by the median of the parent runs of its variant, and the
+quartile distance of these ratios, times the parent's median, is the
+spread. It also prints whether the metric stayed within its `bound`, a
+share of the parent's median: `worse` when the change's median is worse
+than the parent's by more than the bound, `unresolved` when it is not but
+the spread exceeds the bound (so the runs spread too widely to tell) and some change run does not beat every parent run, and
+`ok` otherwise.
 
     python3 scripts/bench_pairs.py --workload query-er100k --pairs 10 --seeds 3,4,5 [--rev HEAD] [--seconds 30]
 
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -42,12 +46,29 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def within_variant_spread(lines: list[dict], values: list[float]) -> float:
+    """The quartile distance of ``values`` with the differences between input variants taken out.
+
+    Each value is divided by the median of the values of its line's
+    ``variant``, and the quartile distance of those ratios is scaled back to
+    the values' unit by the median of all values. Lines without a
+    ``variant`` form one group, and then this is the plain quartile distance.
+    """
+    groups: dict = {}
+    for line, value in zip(lines, values):
+        groups.setdefault(line.get("variant"), []).append(value)
+    medians = {variant: statistics.median(group) for variant, group in groups.items()}
+    q1, _, q3 = quartiles([value / medians[line.get("variant")] for line, value in zip(lines, values)])
+    return (q3 - q1) * statistics.median(values)
+
+
 def summarize(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> list[dict]:
     """One row per metric from ``(parent, change)`` result lines of `perfbench/run.py`.
 
     A pair counts as a win when the change is strictly better in the
     metric's direction; ``holds`` applies the claim rule above and
-    ``within_bound`` the bound rule.
+    ``within_bound`` the bound rule. ``parent_iqr`` is the parent's
+    quartile distance within each input variant (:func:`within_variant_spread`).
     """
     rows = []
     for metric in end_to_end:
@@ -56,7 +77,7 @@ def summarize(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> list[di
         change = [c["metrics"][name]["value"] for _, c in pairs]
         wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
         pq, cq = quartiles(parent), quartiles(change)
-        spread = pq[2] - pq[0]
+        spread = within_variant_spread([p for p, _ in pairs], parent)
         better = (pq[1] - cq[1]) if lower else (cq[1] - pq[1])
         beats_all = max(change) < min(parent) if lower else min(change) > max(parent)
         if -better > metric["bound"] * abs(pq[1]):
@@ -107,7 +128,12 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"perfbench failed in {tree} (exit {proc.returncode}):\n{proc.stderr}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    line = json.loads(proc.stdout.strip().splitlines()[-1])
+    # The result line does not name the input variant; the run's first line does.
+    named = re.search(r"\(input variant (\d+)\)", proc.stdout)
+    if named:
+        line["variant"] = int(named.group(1))
+    return line
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Any, Sequence
 
 
@@ -64,16 +63,6 @@ class Csr:
     def senders(self, ids: Any) -> Any:
         """The ids, in order, whose rows have arcs."""
         return ids[self.indptr[ids + 1] > self.indptr[ids]]
-
-    @cached_property
-    def rows_with_arcs(self) -> Any:
-        """Every id whose row has arcs, ascending: ``lazy``'s senders in every round.
-
-        An O(n) scan, so it is made once per graph, read-only, and kept.
-        """
-        rows = (self.indptr[1:] > self.indptr[:-1]).nonzero()[0]
-        rows.flags.writeable = False
-        return rows
 
     def loop_count(self) -> int:
         """How many arcs point back at their own row: the self-loops."""

@@ -41,7 +41,7 @@ class DiffusionConfig:
     alpha is the fraction of charge (or excess) an active node gives away,
     epsilon the strict activity threshold, delta the stopping threshold on
     total excess for the EXCESS variant, and max_iterations a hard safety cap.
-    The LAZY_WALK variant pins alpha = 1/2 and epsilon = 0 regardless of the
+    The ``lazy`` variant pins alpha = 1/2 and epsilon = 0 regardless of the
     values passed in. Range checking lives in :func:`chargediff.engine.validate_config`
     so that deliberately invalid configs can still be constructed and rejected
     there.
@@ -147,10 +147,10 @@ def split_terms(cfg: DiffusionConfig) -> tuple[float, float, float]:
 def splitter(cfg: DiffusionConfig) -> Callable[[float], tuple[float, float]]:
     """The variant's split of an emitting node's charge, as ``x -> (kept, sent)``.
 
-    RETENTION and LAZY_WALK: keep (1-alpha) * x and send alpha * x. EXCESS:
-    only the excess over epsilon is split, so keep epsilon + (1-alpha) *
-    (x - epsilon) and send alpha * (x - epsilon). The constants are fixed
-    once per config (:func:`split_terms`); for the first two rules the
+    RETENTION, and so ``lazy``: keep (1-alpha) * x and send alpha * x.
+    EXCESS: only the excess over epsilon is split, so keep epsilon +
+    (1-alpha) * (x - epsilon) and send alpha * (x - epsilon). The constants
+    are fixed once per config (:func:`split_terms`); for RETENTION the
     floor is 0.0, whose subtraction and addition change no bit of a charge
     x >= 0. The dict round and the simulator's round split through this,
     and the numpy round applies the same formula to arrays.
@@ -172,17 +172,11 @@ def splitter(cfg: DiffusionConfig) -> Callable[[float], tuple[float, float]]:
 def emitters(state: ChargeState, g: Graph, cfg: DiffusionConfig) -> Sequence[int]:
     """Ids that transmit this round, ascending.
 
-    RETENTION and EXCESS: the frontier's nodes that have out-edges, in
-    O(frontier), as a list or, beside ``Charges``, an int64 array. A stuck
-    active node (no out-edges) holds its charge and sends nothing.
-    LAZY_WALK: every node with out-edges transmits, zero-charge nodes
-    included, so it costs O(n); on a graph with CSR rows it is the graph's
-    one read-only array of them, made on the first round.
+    The frontier's nodes that have out-edges, in O(frontier), as a list
+    or, beside ``Charges``, an int64 array. A stuck active node (no
+    out-edges) holds its charge and sends nothing. ``lazy`` is RETENTION
+    at epsilon 0, so its frontier is the nodes that hold any charge.
     """
-    if cfg.variant is Variant.LAZY_WALK:
-        if g.csr is not None:
-            return g.csr.rows_with_arcs
-        return [j for j, degree in enumerate(g.degrees) if degree > 0]
     frontier = state.active(cfg.epsilon)
     if isinstance(frontier, list):
         degrees = g.degrees
@@ -196,9 +190,9 @@ def step(state: ChargeState, g: Graph, cfg: DiffusionConfig) -> ChargeState:
     RETENTION: an active node keeps (1-alpha) * x_i and distributes
     alpha * x_i over its out-edges proportionally to weight (1/degree when
     unweighted). EXCESS: an active node keeps epsilon plus (1-alpha) of its
-    excess (x_i - epsilon) and distributes alpha of the excess. LAZY_WALK:
-    the retention rule with alpha = 1/2 and epsilon = 0, where every node
-    counts as active. Inactive and stuck nodes keep everything.
+    excess (x_i - epsilon) and distributes alpha of the excess. ``lazy``:
+    the retention rule with alpha = 1/2 and epsilon = 0, so every node that
+    holds charge is active. Inactive and stuck nodes keep everything.
 
     The graph picks one of two rounds with the same bits. A graph with CSR
     rows (``g.csr``, which the bulk parse of a large edge list keeps) plays
@@ -240,11 +234,8 @@ def step(state: ChargeState, g: Graph, cfg: DiffusionConfig) -> ChargeState:
     new_x = dict(x)
     pushes = []
     for j in senders:
-        xj = x.get(j)
-        # A zero-charge LAZY_WALK sender keeps and sends nothing, and gets no key.
-        if xj is not None:
-            new_x[j], sent = split(xj)
-            pushes.append((j, sent))
+        new_x[j], sent = split(x[j])
+        pushes.append((j, sent))
 
     risen = []
     get = new_x.get

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diffusion import ChargeState, DiffusionConfig, Variant, emitters, splitter
+from .diffusion import ChargeState, DiffusionConfig, emitters, splitter
 from .engine import Bounds, QueryResult, _run
 from .graph import Graph
 
@@ -44,16 +44,14 @@ def run_distributed(
 
     Returns the query result (identical to the centralized run, float for
     float) and one :class:`RoundStats` row per round played, the row of
-    round r at position r - 1. RETENTION and EXCESS play a round only while
-    some active node has out-edges, so each of their rows has messages; a
-    LAZY_WALK run plays every round up to the cap, and on a graph without
-    arcs each of its rows has 0 messages.
+    round r at position r - 1. A round is played only while some active
+    node has out-edges, so each row has messages. ``lazy`` is RETENTION at
+    epsilon 0: its senders, and its active nodes, are the nodes that hold
+    charge.
 
     Only the nodes that send or receive mail are folded, so a round costs
     O(emitters * degree + touched), independent of graph size; the
     conservation check and the total charge still walk the charged nodes.
-    LAZY_WALK is the exception: every node with out-edges transmits, so its
-    rounds cost O(n + arcs).
 
     A capped run whose charge vector repeats is cut short by the shared run
     loop (see :func:`chargediff.engine._run`), and its rows end at the
@@ -73,23 +71,15 @@ def run_distributed(
         inbox: dict[int, list[tuple[int, float]]] = {}
         messages = 0
         in_flight = 0.0
-        senders = emitters(state, g, cfg)
         targets, out_ratios, degrees = g.targets, g.out_ratios, g.degrees
-        # LAZY_WALK's senders on a graph with CSR rows are an int64 array;
-        # the mailboxes are keyed by Python ints, as on any other graph.
-        for j in senders if isinstance(senders, list) else senders.tolist():
-            kept[j], sent = split(x.get(j, 0.0))
+        for j in emitters(state, g, cfg):
+            kept[j], sent = split(x[j])
             inbox.setdefault(j, [])
             for target, ratio in zip(targets[j], out_ratios[j]):
                 amount = sent * ratio
                 inbox.setdefault(target, []).append((j, amount))
                 in_flight += amount
             messages += degrees[j]
-
-        if cfg.variant is Variant.LAZY_WALK:
-            active_count = g.node_count
-        else:
-            active_count = len(state.active(eps))
 
         held = sum(kept.get(i, xi) for i, xi in x.items())
         if abs(held + in_flight - 1.0) > 1e-9:
@@ -116,7 +106,7 @@ def run_distributed(
         stats.append(
             RoundStats(
                 messages_sent=messages,
-                active_count=active_count,
+                active_count=len(state.active(eps)),
                 # Ascending ids, so the float does not depend on dict order.
                 total_charge=sum(new_x[i] for i in sorted(new_x)),
             )

@@ -159,13 +159,12 @@ def should_stop(
     here. RETENTION, and an EXCESS run not yet below delta, stop with
     ``"quiescent"`` when no active node can transfer (stuck active nodes do
     not keep a run alive), which is read off the state's frontier in
-    O(frontier). LAZY_WALK never stops on its own; only the iteration cap
-    ends it. The excess test comes first, so a state that passes both is
+    O(frontier). ``lazy`` is RETENTION at epsilon 0: it stops
+    ``"quiescent"`` once no node that holds charge has out-edges. The
+    excess test comes first, so a state that passes both is
     ``"excess_below_delta"``. Either reason is truthy and None is not, so
     the value also reads as a bool.
     """
-    if cfg.variant is Variant.LAZY_WALK:
-        return None
     if cfg.variant is Variant.EXCESS:
         if excess is None:
             excess = excess_total(state, cfg)
@@ -271,9 +270,10 @@ def run_query(g: Graph, seed: int, cfg: DiffusionConfig) -> QueryResult:
     Stops when :func:`should_stop` names a reason or when the iteration
     cap is hit (``stop_reason`` ``"iteration_cap"``, not ``terminated``).
     The cap is a legitimate outcome, not an error: graphs with
-    n <= 1/epsilon never terminate by design. Such a run settles into a repeating charge vector, and the run loop
-    jumps over its repeats to the cap, so it costs the rounds to settle
-    plus about one period, not the cap.
+    n <= 1/epsilon never terminate by design. Such a run settles into a
+    repeating charge vector, and the run loop jumps over its repeats to the
+    cap, so it costs the rounds to settle plus about one period, not the
+    cap.
     """
     return _run(g, seed, cfg, lambda state: step(state, g, cfg))
 

@@ -221,7 +221,6 @@ def play(g, seed, cfg):
     charge vector.
     """
     eps = cfg.epsilon
-    lazy = cfg.variant is Variant.LAZY_WALK
     state = init_state(g, seed)
     activated = {seed}
     trace, rows = [], []
@@ -231,12 +230,8 @@ def play(g, seed, cfg):
         reason = should_stop(state, g, cfg)
         if reason or state.t >= cfg.max_iterations:
             return state, reason, activated, trace, rows
-        if lazy:
-            senders = [j for j in range(g.node_count) if g.degrees[j] > 0]
-            active = g.node_count
-        else:
-            senders = [j for j, xj in x.items() if xj > eps and g.degrees[j] > 0]
-            active = sum(xj > eps for xj in x.values())
+        senders = [j for j, xj in x.items() if xj > eps and g.degrees[j] > 0]
+        active = sum(xj > eps for xj in x.values())
         state = step(state, g, cfg)
         total = sum(state.x[i] for i in sorted(state.x))
         rows.append((state.t, sum(g.degrees[j] for j in senders), active, total.hex()))

@@ -112,6 +112,8 @@ class TestRunQuery:
 
 
 STUCK = from_edges([(0, 1, 1.0)], directed=True)
+DIRECTED_PATH = from_edges([(i, i + 1, 1.0) for i in range(4)], directed=True)
+LAZY = DiffusionConfig(variant=Variant.LAZY_WALK, max_iterations=5000)
 # name: (graph, seed, config, stop_reason, (cycle_start, period))
 STOP_CASES = {
     "retention settles": (STAR, 0, STAR_CFG, "quiescent", (None, None)),
@@ -131,6 +133,10 @@ STOP_CASES = {
         path_graph(6), 0, DiffusionConfig(variant=Variant.LAZY_WALK, max_iterations=20),
         "iteration_cap", (None, None),
     ),
+    # A lazy walk is retention at epsilon 0: it stops once no node that
+    # holds charge has out-edges.
+    "lazy stuck seed": (STUCK, 1, LAZY, "quiescent", (None, None)),
+    "lazy directed path": (DIRECTED_PATH, 0, LAZY, "quiescent", (None, None)),
     "retention capped": (
         STAR, 0, DiffusionConfig(alpha=0.5, epsilon=0.1, max_iterations=2), "iteration_cap", (None, None)
     ),
@@ -159,6 +165,24 @@ def test_stop_reason_and_repeat(case):
         assert run_distributed(h, seed, cfg)[0] == res
         results.append(res)
     assert results[0] == results[1]
+
+
+@pytest.mark.parametrize(
+    "g, iterations, final",
+    [
+        (from_edges([], node_count=1), 0, {0: 1.0}),
+        # The charge drains into the sink, and the last of it left on the
+        # path underflows to 0.0 at round 1103.
+        (DIRECTED_PATH, 1103, {4: 0.9999999999999998}),
+    ],
+    ids=["one node", "directed path"],
+)
+def test_lazy_walk_stops_once_its_charge_cannot_move(g, iterations, final):
+    res = run_query(g, 0, LAZY)
+    assert res.stop_reason == "quiescent"
+    assert res.iterations == iterations
+    assert res.final_charges == final
+    assert run_distributed(g, 0, LAZY)[0] == res
 
 
 class TestTopK:

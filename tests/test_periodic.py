@@ -158,8 +158,9 @@ def test_capped_simulation_rounds_only_until_it_repeats(monkeypatch):
         # but the first, which sends 2.
         (TRIANGLE, DiffusionConfig(), 32, 5_999_996),
         (TRIANGLE, DiffusionConfig(variant=Variant.EXCESS), 32, 5_999_996),
-        # No arcs: each round sends nothing and the vector repeats at once.
-        (from_edges([], node_count=1), DiffusionConfig(variant=Variant.LAZY_WALK, max_iterations=5), 1, 0),
+        # 1 - alpha rounds to 1.0, so the seed keeps its charge and sends 0.0
+        # along its one arc: a message each round, and the vector repeats at once.
+        (from_edges([(0, 1, 1.0)]), DiffusionConfig(alpha=1e-17, max_iterations=5), 1, 5),
     ],
 )
 def test_capped_run_keeps_its_records_up_to_the_repeat(g, cfg, rows, messages):

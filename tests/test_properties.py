@@ -129,8 +129,8 @@ def test_step_matches_reference_round_bit_for_bit(g, cfg, seed_frac, steps):
         assert bits(state.x) == bits(ref.x)
         assert state.ever_active == ref.ever_active
         if cfg.variant is Variant.LAZY_WALK:
-            # Every node with out-edges sends; one without charge adds no key
-            # unless a charged sender pushes to it.
+            # Only nodes that hold charge send, so a node gets a key only
+            # when a charged sender pushes to it.
             reached = {t for j, xj in before.items() if xj != 0.0 for t in g.targets[j]}
             assert set(state.x) <= set(before) | reached
 

@@ -30,11 +30,14 @@ def load_script(name):
     return module
 
 
-def result_line(p50, ops):
-    return json.dumps({
+def result_line(p50, ops, variant=None):
+    line = {
         "correct": True, "attempted": 100, "failed": 0,
         "metrics": {"op_p50_ms": {"value": p50, "unit": "ms"}, "ops_per_s": {"value": ops, "unit": "1/s"}},
-    })
+    }
+    if variant is not None:
+        line["variant"] = variant
+    return json.dumps(line)
 
 
 END_TO_END = [
@@ -99,3 +102,21 @@ def test_bench_pairs_summary_checks_each_metric_against_its_bound(
     table = bench_pairs.format_rows([p50, ops], (0, 0)).splitlines()
     assert table[1].endswith("\tbound\twithin bound")
     assert table[2].endswith(f"\t0.25\t{p50_verdict}") and table[3].endswith(f"\t0.25\t{ops_verdict}")
+
+
+def test_bench_pairs_takes_the_parent_spread_within_each_input_variant():
+    # Seeds alternate between two graphs whose p50 lies 30% apart, and each
+    # graph's runs are tight. Across both, the quartile distance is 26% of
+    # the median, wider than the bound; within each graph it is about 1%.
+    bench_pairs = load_script("bench_pairs")
+    parent_p50 = [10.0, 13.0, 10.05, 13.05, 10.1, 13.1, 10.0, 13.0, 10.05, 13.05]
+    change_p50 = [10.05, 13.05, 10.0, 13.1, 10.05, 13.0, 10.1, 13.05, 10.0, 13.0]
+    q1, median, q3 = bench_pairs.quartiles(parent_p50)
+    assert q3 - q1 > 0.25 * median
+    pairs = [
+        (json.loads(result_line(p, 30.0, i % 2)), json.loads(result_line(c, 30.0, i % 2)))
+        for i, (p, c) in enumerate(zip(parent_p50, change_p50))
+    ]
+    p50, ops = bench_pairs.summarize(pairs, END_TO_END)
+    assert p50["parent_iqr"] < 0.01 * median
+    assert (p50["within_bound"], ops["within_bound"]) == ("ok", "ok")
