@@ -35,17 +35,28 @@ class Csr:
     ``bounds`` do not. Weighted text builds its weight and ratio rows at
     parse time, since ``ratios`` takes its bits from them.
 
+    ``degrees`` holds each row's arc count (int64), as the bulk parse counted
+    them, so the senders of a set of ids, a round's row counts and a row
+    repeat are each one gather.
+
     ``scratch`` is n float64 that all hold -0.0 between rounds. A round
     writes the charges of its touched ids into it, folds receipts there and
     writes -0.0 back over the same ids, so it costs O(touched), and one
     query's round leaves nothing for the next. So a graph plays one round at
     a time: threads that query one graph at once need a copy each.
+
+    ``positions`` is n int64, the table in which a replayed round (see
+    :meth:`play`) finds where the senders and targets of its plan sit in its
+    ids. It writes ``arange`` at those ids and reads the table back only at
+    ids it has just written, so the table needs no reset between rounds.
     """
 
     indptr: Any
     targets: Any
     ratios: Any
+    degrees: Any
     scratch: Any
+    positions: Any
 
     @classmethod
     def of(cls, degrees: Any, targets: Any, out_ratios: Sequence[Sequence[float]] | None) -> Csr:
@@ -58,17 +69,18 @@ class Csr:
         if out_ratios is not None:
             flat = itertools.chain.from_iterable(out_ratios)
             ratios = np.fromiter(flat, dtype=np.float64, count=len(targets))
-        return cls(indptr, targets, ratios, np.full(len(degrees), -0.0))
+        n = len(degrees)
+        return cls(indptr, targets, ratios, degrees, np.full(n, -0.0), np.zeros(n, dtype=np.int64))
 
     def senders(self, ids: Any) -> Any:
         """The ids, in order, whose rows have arcs."""
-        return ids[self.indptr[ids + 1] > self.indptr[ids]]
+        return ids[self.degrees[ids] > 0]
 
     def loop_count(self) -> int:
         """How many arcs point back at their own row: the self-loops."""
         import numpy as np
 
-        rows = np.arange(len(self.indptr) - 1).repeat(np.diff(self.indptr))
+        rows = np.arange(len(self.degrees)).repeat(self.degrees)
         return int(np.count_nonzero(self.targets == rows))
 
     def play(
@@ -103,45 +115,49 @@ class Csr:
 
         The work is a few numpy calls over the pushed arcs and over the
         touched ids, and a sort of the new receivers.
+
+        A round that drops no zero sender and no zero receipt keeps its
+        structure, a :class:`Plan`, on the charges it returns; every target
+        of the plan is then among their ids. When ``x`` carries a plan whose
+        senders are this round's, the round replays it (:meth:`_replay`)
+        and only does the arithmetic.
         """
         import numpy as np
 
         if not isinstance(x, Charges):
             x = Charges.of(x)
+        senders = np.asarray(senders, dtype=np.int64)
+        plan = x.plan
+        if plan is not None and len(plan.senders) == len(senders) and (plan.senders == senders).all():
+            return self._replay(x, plan, split, epsilon)
         ids = x.ids
-        scratch, indptr = self.scratch, self.indptr
-        floor, keep, give = split
+        scratch = self.scratch
+        repeatable = True
         try:
             scratch[ids] = x.vals
-            senders = np.asarray(senders, dtype=np.int64)
-            held = scratch[senders]
-            above = held - floor
-            kept = floor + keep * above
-            sent = give * above
-            whole = kept >= held
-            # np.count_nonzero is the cheapest of numpy's tests for a True.
-            if np.count_nonzero(whole):
-                kept[whole] = held[whole]
-                sent[whole] = 0.0
+            kept, sent = _split(scratch[senders], *split)
             scratch[senders] = kept
 
-            starts = indptr[senders]
-            counts = indptr[senders + 1] - starts
+            starts, counts = self.indptr[senders], self.degrees[senders]
             if self.ratios is None:
                 # Each arc of a row of unweighted text receives the same share.
-                sent = sent * (1.0 / counts)
+                shares = 1.0 / counts
+                sent = sent * shares
             live = sent != 0.0
             if np.count_nonzero(live) < len(live):
                 starts, counts, sent = starts[live], counts[live], sent[live]
+                repeatable = False
             # Gathered arc k of sender s is arc k - (ends[s] - counts[s]) of its row.
             ends = counts.cumsum()
             arcs = np.arange(ends[-1] if len(ends) else 0) + (starts - (ends - counts)).repeat(counts)
             amounts = sent.repeat(counts)
             if self.ratios is not None:
-                amounts *= self.ratios[arcs]
+                shares = self.ratios[arcs]
+                amounts *= shares
                 live = amounts != 0.0
                 if np.count_nonzero(live) < len(live):
                     arcs, amounts = arcs[live], amounts[live]
+                    repeatable = False
             targets = self.targets[arcs]
 
             fresh = targets[np.signbit(scratch[targets])]
@@ -161,7 +177,85 @@ class Csr:
             raise
         hot = vals > epsilon
         risen = ids[hot & (before <= epsilon)]
-        return Charges(ids, vals), ids[hot], risen.tolist()
+        plan = Plan(senders, counts, shares, targets) if repeatable else None
+        return Charges(ids, vals, plan), ids[hot], risen.tolist()
+
+    def _replay(
+        self, x: Charges, plan: Plan, split: tuple[float, float, float], epsilon: float
+    ) -> tuple[Charges, Any, list[int]]:
+        """:meth:`play` from ``x`` when this round's senders are those of ``x.plan``.
+
+        The same senders push along the same arcs to the same targets, all
+        among ``x.ids``, so the round's ids are those of ``x``, and the plan
+        holds for the charges it returns. Only the arithmetic is new, done
+        on a copy of ``x.vals``: the split, the
+        receipts, the fold and the frontier, with the float operations of
+        :meth:`play` in the same order. A receipt that is zero now adds +0.0
+        to a target, which holds a positive charge, so it changes no bit, as
+        the dropped receipt of :meth:`play` changes none.
+
+        Where the senders and targets sit in ``x.ids`` is looked up in
+        ``positions`` at the plan's first replay and kept in the plan, since
+        every state that carries the plan holds those same ids. The round
+        writes no scratch, so a round cut short leaves nothing behind.
+        """
+        import numpy as np
+
+        ids = x.ids
+        if plan.tpos is None:
+            positions = self.positions
+            positions[ids] = np.arange(len(ids))
+            plan.spos, plan.tpos = positions[plan.senders], positions[plan.targets]
+        vals = x.vals.copy()
+        kept, sent = _split(vals[plan.spos], *split)
+        vals[plan.spos] = kept
+        if self.ratios is None:
+            amounts = (sent * plan.shares).repeat(plan.counts)
+        else:
+            amounts = sent.repeat(plan.counts)
+            amounts *= plan.shares
+        low = vals <= epsilon
+        np.add.at(vals, plan.tpos, amounts)
+        hot = vals > epsilon
+        return Charges(ids, vals, plan), ids[hot], ids[hot & low].tolist()
+
+
+def _split(held: Any, floor: float, keep: float, give: float) -> tuple[Any, Any]:
+    """``(kept, sent)`` of senders that hold ``held``, as :func:`chargediff.diffusion.splitter` splits each."""
+    import numpy as np
+
+    above = held - floor
+    kept = floor + keep * above
+    sent = give * above
+    whole = kept >= held
+    # np.count_nonzero is the cheapest of numpy's tests for a True.
+    if np.count_nonzero(whole):
+        kept[whole] = held[whole]
+        sent[whole] = 0.0
+    return kept, sent
+
+
+class Plan:
+    """The structure of a round, which a round with the same senders replays.
+
+    ``senders`` are the round's senders, ascending, and ``counts`` their row
+    counts. ``shares`` is what each receipt takes of ``sent``: one per
+    sender (``1.0 / counts``) for unweighted text, one per gathered arc
+    (``ratios[arcs]``) otherwise. ``targets`` are the gathered arcs'
+    targets, in sender order. A plan travels only with charges whose ids
+    are those its round returned; ``spos`` and ``tpos``, the positions of
+    the senders and the targets within those ids, are None until the
+    first replay looks them up.
+    """
+
+    __slots__ = ("senders", "counts", "shares", "targets", "spos", "tpos")
+
+    def __init__(self, senders: Any, counts: Any, shares: Any, targets: Any) -> None:
+        self.senders = senders
+        self.counts = counts
+        self.shares = shares
+        self.targets = targets
+        self.spos = self.tpos = None
 
 
 class Charges(Mapping):
@@ -170,15 +264,23 @@ class Charges(Mapping):
     It holds the ids that the dict round holds as keys: every id that ever
     held or received charge, zero charges included. ``==`` compares the
     arrays in O(len) and, like dict ``==``, by value, so the run loop's
-    repeat test costs O(touched). Read as a mapping, it gives Python ints
-    and floats, in ascending id order.
+    repeat test costs O(touched); it skips the ids when both sides share
+    one ids array, as the states of replayed rounds do. Read as a mapping,
+    it gives Python ints and floats, in ascending id order.
+
+    ``plan`` is the :class:`Plan` of the round that made these charges (or
+    of the round that round replayed), set by :meth:`Csr.play` when that
+    round dropped no zero sender and no zero receipt, so that the next
+    round replays it if its senders repeat. Charges of a mapping
+    (:meth:`of`) or built by hand carry none.
     """
 
-    __slots__ = ("ids", "vals")
+    __slots__ = ("ids", "vals", "plan")
 
-    def __init__(self, ids: Any, vals: Any) -> None:
+    def __init__(self, ids: Any, vals: Any, plan: Plan | None = None) -> None:
         self.ids = ids
         self.vals = vals
+        self.plan = plan
 
     @classmethod
     def of(cls, x: Mapping[int, float]) -> Charges:
@@ -206,10 +308,10 @@ class Charges(Mapping):
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Charges):
             return (
-                self.ids.shape == other.ids.shape
+                self.ids is other.ids
+                or self.ids.shape == other.ids.shape
                 and bool((self.ids == other.ids).all())
-                and bool((self.vals == other.vals).all())
-            )
+            ) and bool((self.vals == other.vals).all())
         return super().__eq__(other)
 
     def __repr__(self) -> str:

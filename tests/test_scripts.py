@@ -120,3 +120,21 @@ def test_bench_pairs_takes_the_parent_spread_within_each_input_variant():
     p50, ops = bench_pairs.summarize(pairs, END_TO_END)
     assert p50["parent_iqr"] < 0.01 * median
     assert (p50["within_bound"], ops["within_bound"]) == ("ok", "ok")
+
+
+@pytest.mark.parametrize("diffs, expected", [
+    # Negative through 28k, positive from 32k, and every IQR clear of zero.
+    ([(-9, -5, -1), (-3, -2, -1), (1, 2, 3), (4, 6, 8)], (28000, 32000, True)),
+    # The same medians, but 32k's IQR reaches below zero: placed, not resolved.
+    ([(-9, -5, -1), (-3, -2, -1), (-1, 2, 3), (4, 6, 8)], (28000, 32000, False)),
+    # A positive median before a negative one does not count: the run from the top does.
+    ([(1, 2, 3), (-3, -2, -1), (1, 2, 3), (4, 6, 8)], (28000, 32000, True)),
+    # Positive everywhere: at or below the smallest count.
+    ([(1, 2, 3)] * 4, (None, 20000, False)),
+    # Not positive at the largest: no break-even within the grid.
+    ([(1, 2, 3), (1, 2, 3), (1, 2, 3), (-3, -2, -1)], (48000, None, False)),
+])
+def test_bulk_threshold_places_the_break_even_from_paired_quartiles(diffs, expected):
+    bulk_threshold = load_script("bulk_threshold")
+    points = list(zip((20000, 28000, 32000, 48000), diffs))
+    assert bulk_threshold.break_even(points) == expected
