@@ -12,16 +12,25 @@ between the parent's quartiles. The seed picks the input variant (the graph
 a run queries), so that distance is taken within each variant: each parent
 run is divided by the median of the parent runs of its variant, and the
 quartile distance of these ratios, times the parent's median, is the
-spread. It also prints whether the metric stayed within its `bound`, a
-share of the parent's median: `worse` when the change's median is worse
-than the parent's by more than the bound, `unresolved` when it is not but
-the spread exceeds the bound (so the runs spread too widely to tell) and some change run does not beat every parent run, and
-`ok` otherwise.
+spread. A variant with a single run shows no spread and is left out; when
+no variant has two runs, as with ten seeds on ten variants, the spread is
+the plain quartile distance across them. It also prints whether the metric
+stayed within its `bound`, a share of the parent's median: `worse` when the
+change's median is worse than the parent's by more than the bound,
+`unresolved` when it is not but the spread exceeds the bound (so the runs
+spread too widely to tell) and some change run does not beat every parent
+run, and `ok` otherwise.
 
     python3 scripts/bench_pairs.py --workload query-er100k --pairs 10 --seeds 3,4,5 [--rev HEAD] [--seconds 30]
 
 Each run's result line is echoed as `<pair> <side> seed=<n> <json>` as it
-completes.
+completes. A run that failed no operation also gets `kinds`: the median
+latency in ms of each kind of operation, read from the report it wrote
+(`perfbench/out/<workload>-seed<n>-trace0.json`). A kind is the operation's
+key without a leading node id, such as `retention-1e-3` or
+`clique20/excess`. After the metrics table comes one row per kind: each
+side's median of those run medians, the change-to-parent ratio, and how
+many pairs the change won.
 """
 
 from __future__ import annotations
@@ -53,12 +62,23 @@ def within_variant_spread(lines: list[dict], values: list[float]) -> float:
     ``variant``, and the quartile distance of those ratios is scaled back to
     the values' unit by the median of all values. Lines without a
     ``variant`` form one group, and then this is the plain quartile distance.
+    A variant with one run shows no spread (its ratio is 1 by definition),
+    so only variants with two runs or more count; when no variant has two,
+    this is the plain quartile distance across variants.
     """
     groups: dict = {}
     for line, value in zip(lines, values):
         groups.setdefault(line.get("variant"), []).append(value)
-    medians = {variant: statistics.median(group) for variant, group in groups.items()}
-    q1, _, q3 = quartiles([value / medians[line.get("variant")] for line, value in zip(lines, values)])
+    medians = {variant: statistics.median(group) for variant, group in groups.items() if len(group) > 1}
+    ratios = [
+        value / medians[line.get("variant")]
+        for line, value in zip(lines, values)
+        if line.get("variant") in medians
+    ]
+    if not ratios:
+        q1, _, q3 = quartiles(values)
+        return q3 - q1
+    q1, _, q3 = quartiles(ratios)
     return (q3 - q1) * statistics.median(values)
 
 
@@ -117,6 +137,54 @@ def format_rows(rows: list[dict], failed: tuple[int, int]) -> str:
     return "\n".join(lines)
 
 
+def op_kind(key: str) -> str:
+    """An operation's key without its leading node id: ``16609/retention-1e-3`` -> ``retention-1e-3``."""
+    head, sep, rest = key.partition("/")
+    return rest if sep and head.isdigit() else key
+
+
+def kind_medians(report: dict) -> dict[str, float] | None:
+    """Median latency in ms of each kind of operation in a `perfbench/run.py` report.
+
+    Its ``latencies_s`` and ``ops`` line up only when no operation failed,
+    so a report with failures gives None.
+    """
+    if report.get("failures") or len(report["ops"]) != len(report["latencies_s"]):
+        return None
+    kinds: dict[str, list[float]] = {}
+    for op, latency in zip(report["ops"], report["latencies_s"]):
+        kinds.setdefault(op_kind(op["op"]), []).append(latency)
+    return {kind: statistics.median(times) * 1e3 for kind, times in sorted(kinds.items())}
+
+
+def summarize_kinds(pairs: list[tuple[dict, dict]]) -> list[dict]:
+    """One row per kind of operation, over the pairs whose both runs have ``kinds``."""
+    both = [(p["kinds"], c["kinds"]) for p, c in pairs if p.get("kinds") and c.get("kinds")]
+    rows = []
+    for kind in sorted({kind for p, c in both for kind in p.keys() & c.keys()}):
+        runs = [(p[kind], c[kind]) for p, c in both if kind in p and kind in c]
+        parent = statistics.median(p for p, _ in runs)
+        change = statistics.median(c for _, c in runs)
+        rows.append({
+            "kind": kind,
+            "parent_ms": parent,
+            "change_ms": change,
+            "ratio": change / parent,
+            "wins": sum(c < p for p, c in runs),
+            "pairs": len(runs),
+        })
+    return rows
+
+
+def format_kinds(rows: list[dict]) -> str:
+    lines = ["op kind\tparent median ms\tchange median ms\tchange/parent\tchange wins"]
+    for r in rows:
+        lines.append(
+            f"{r['kind']}\t{r['parent_ms']:.4g}\t{r['change_ms']:.4g}\t{r['ratio']:.3f}\t{r['wins']}/{r['pairs']}"
+        )
+    return "\n".join(lines)
+
+
 def unpack(rev: str, dest: Path) -> None:
     archive = subprocess.run(["git", "archive", rev], cwd=ROOT, capture_output=True, check=True).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
@@ -133,6 +201,10 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     named = re.search(r"\(input variant (\d+)\)", proc.stdout)
     if named:
         line["variant"] = int(named.group(1))
+    report = tree / "perfbench" / "out" / f"{workload}-seed{seed}-trace0.json"
+    kinds = kind_medians(json.loads(report.read_text()))
+    if kinds is not None:
+        line["kinds"] = kinds
     return line
 
 
@@ -163,6 +235,7 @@ def main(argv: list[str] | None = None) -> int:
             pairs.append((lines["parent"], lines["change"]))
     failed = (sum(p["failed"] for p, _ in pairs), sum(c["failed"] for _, c in pairs))
     print(format_rows(summarize(pairs, spec["end_to_end"]), failed))
+    print(format_kinds(summarize_kinds(pairs)))
     return 0
 
 

@@ -31,7 +31,6 @@ import json
 import os
 import sys
 
-from . import baselines
 from .diffusion import DiffusionConfig, Variant
 from .engine import ConfigError, QueryResult, compute_bounds, run_query, top_k, validate_config
 from .graph import EdgeListError, Graph, max_degree, parse_edge_list_relabeled
@@ -288,6 +287,9 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    # Imported here so that the other subcommands start without the baseline.
+    from . import baselines
+
     graph, labels, cfg, seed, warnings = _prepare_query(args)
     _check_k(args.k)
     # Same check and message as personalized_pagerank, made before the query.

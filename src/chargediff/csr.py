@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class Csr:
     """A graph's rows as flat arrays, and the scratch vector its rounds fold in.
 
@@ -39,11 +39,17 @@ class Csr:
     them, so the senders of a set of ids, a round's row counts and a row
     repeat are each one gather.
 
-    ``scratch`` is n float64 that all hold -0.0 between rounds. A round
-    writes the charges of its touched ids into it, folds receipts there and
-    writes -0.0 back over the same ids, so it costs O(touched), and one
-    query's round leaves nothing for the next. So a graph plays one round at
-    a time: threads that query one graph at once need a copy each.
+    ``scratch`` is n float64 in which a full round folds its receipts, and
+    ``mark`` the :class:`Charges` whose values it holds: those the last full
+    round returned, or None. Between rounds every entry is -0.0 but those at
+    the mark's ids, which hold the bits of its ``vals``. A full round from
+    the marked charges starts from the scratch as it is; one from any other
+    charges writes -0.0 over the mark's ids and its own charges in. It
+    leaves its result there, marked, so a run's rounds cost O(touched) and
+    neither load nor reset the charges they pass on, and queries stepped in
+    turn, or one after another, still start from their own charges. So a
+    graph plays one round at a time: threads that query one graph at once
+    need a copy each.
 
     ``positions`` is n int64, the table in which a replayed round (see
     :meth:`play`) finds where the senders and targets of its plan sit in its
@@ -57,6 +63,7 @@ class Csr:
     degrees: Any
     scratch: Any
     positions: Any
+    mark: Charges | None
 
     @classmethod
     def of(cls, degrees: Any, targets: Any, out_ratios: Sequence[Sequence[float]] | None) -> Csr:
@@ -70,7 +77,7 @@ class Csr:
             flat = itertools.chain.from_iterable(out_ratios)
             ratios = np.fromiter(flat, dtype=np.float64, count=len(targets))
         n = len(degrees)
-        return cls(indptr, targets, ratios, degrees, np.full(n, -0.0), np.zeros(n, dtype=np.int64))
+        return cls(indptr, targets, ratios, degrees, np.full(n, -0.0), np.zeros(n, dtype=np.int64), None)
 
     def senders(self, ids: Any) -> Any:
         """The ids, in order, whose rows have arcs."""
@@ -114,7 +121,10 @@ class Csr:
           0.0.
 
         The work is a few numpy calls over the pushed arcs and over the
-        touched ids, and a sort of the new receivers.
+        touched ids, and a sort of the new receivers. A round from the
+        charges the last full round returned, the mark (see :class:`Csr`),
+        finds them in the scratch and does not load them; the charges it
+        returns stay there as the new mark.
 
         A round that drops no zero sender and no zero receipt keeps its
         structure, a :class:`Plan`, on the charges it returns; every target
@@ -134,7 +144,10 @@ class Csr:
         scratch = self.scratch
         repeatable = True
         try:
-            scratch[ids] = x.vals
+            if x is not self.mark:
+                if self.mark is not None:
+                    scratch[self.mark.ids] = -0.0
+                scratch[ids] = x.vals
             kept, sent = _split(scratch[senders], *split)
             scratch[senders] = kept
 
@@ -169,16 +182,16 @@ class Csr:
                 ids.sort(kind="stable")
             before = scratch[ids]
             np.add.at(scratch, targets, amounts)
-            vals = scratch[ids]
-            scratch[ids] = -0.0
+            plan = Plan(senders, counts, shares, targets) if repeatable else None
+            charges = self.mark = Charges(ids, scratch[ids], plan)
         except BaseException:
             # A round cut short leaves no charge behind for the next one.
             scratch.fill(-0.0)
+            self.mark = None
             raise
-        hot = vals > epsilon
+        hot = charges.vals > epsilon
         risen = ids[hot & (before <= epsilon)]
-        plan = Plan(senders, counts, shares, targets) if repeatable else None
-        return Charges(ids, vals, plan), ids[hot], risen.tolist()
+        return charges, ids[hot], risen.tolist()
 
     def _replay(
         self, x: Charges, plan: Plan, split: tuple[float, float, float], epsilon: float
@@ -197,7 +210,8 @@ class Csr:
         Where the senders and targets sit in ``x.ids`` is looked up in
         ``positions`` at the plan's first replay and kept in the plan, since
         every state that carries the plan holds those same ids. The round
-        writes no scratch, so a round cut short leaves nothing behind.
+        neither reads nor writes the scratch or the mark, so a round cut
+        short leaves nothing behind.
         """
         import numpy as np
 
@@ -224,9 +238,13 @@ def _split(held: Any, floor: float, keep: float, give: float) -> tuple[Any, Any]
     """``(kept, sent)`` of senders that hold ``held``, as :func:`chargediff.diffusion.splitter` splits each."""
     import numpy as np
 
-    above = held - floor
-    kept = floor + keep * above
-    sent = give * above
+    if floor == 0.0:
+        # ``0.0 + keep * (held - 0.0)`` has the bits of ``keep * held`` for any held >= 0.
+        kept, sent = keep * held, give * held
+    else:
+        above = held - floor
+        kept = floor + keep * above
+        sent = give * above
     whole = kept >= held
     # np.count_nonzero is the cheapest of numpy's tests for a True.
     if np.count_nonzero(whole):

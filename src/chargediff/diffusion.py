@@ -90,12 +90,19 @@ class ChargeState:
     O(pushed arcs + frontier log frontier) plus the C-level ``dict(x)``
     copy that keeps each state a snapshot. A state built by hand leaves it
     unset and :meth:`active` derives it from ``x`` on first use.
+
+    ``senders`` holds the frontier's ids that have out-edges, of the
+    frontier's kind: the round's emitters. :func:`emitters` decides them on
+    first use and keeps them, so the stop test and the round after it read
+    one answer. Like ``frontier``, they answer for the config they were
+    decided with.
     """
 
     x: dict[int, float] | Charges
     t: int
     ever_active: set[int]
     frontier: Sequence[int] | None = field(default=None, repr=False, compare=False)
+    senders: Sequence[int] | None = field(default=None, repr=False, compare=False)
 
     def active(self, epsilon: float) -> Sequence[int]:
         """Ids whose charge is above ``epsilon``, ascending.
@@ -170,18 +177,24 @@ def splitter(cfg: DiffusionConfig) -> Callable[[float], tuple[float, float]]:
 
 
 def emitters(state: ChargeState, g: Graph, cfg: DiffusionConfig) -> Sequence[int]:
-    """Ids that transmit this round, ascending.
+    """Ids that transmit this round, ascending: the state's ``senders``.
 
     The frontier's nodes that have out-edges, in O(frontier), as a list
     or, beside ``Charges``, an int64 array. A stuck active node (no
     out-edges) holds its charge and sends nothing. ``lazy`` is RETENTION
-    at epsilon 0, so its frontier is the nodes that hold any charge.
+    at epsilon 0, so its frontier is the nodes that hold any charge. The
+    first call on a state decides them and keeps them on it; later calls,
+    such as :func:`step`'s after :func:`chargediff.engine.should_stop`'s,
+    return them as kept.
     """
-    frontier = state.active(cfg.epsilon)
-    if isinstance(frontier, list):
-        degrees = g.degrees
-        return [j for j in frontier if degrees[j] > 0]
-    return g.csr.senders(frontier)
+    if state.senders is None:
+        frontier = state.active(cfg.epsilon)
+        if isinstance(frontier, list):
+            degrees = g.degrees
+            state.senders = [j for j in frontier if degrees[j] > 0]
+        else:
+            state.senders = g.csr.senders(frontier)
+    return state.senders
 
 
 def step(state: ChargeState, g: Graph, cfg: DiffusionConfig) -> ChargeState:
@@ -200,18 +213,21 @@ def step(state: ChargeState, g: Graph, cfg: DiffusionConfig) -> ChargeState:
     :class:`chargediff.csr.Charges`. That round folds receipts with
     ``np.add.at``, which adds in index order, so in ascending sender order
     as below, and its states sum their excess with ``np.cumsum`` (not the
-    pairwise ``np.sum``), so every bit matches. It costs a fixed 25-50 us
-    of numpy calls plus about 40 ns per pushed arc and a few ns per touched
-    id, where the dict round costs about 0.25 us per arc: they break even
-    near 150 arcs per round, and from 3000 on numpy is 6x faster (Python
-    3.11, numpy 2.4, 2-core VM). A round whose senders are those of the
-    round before replays that round's arcs, targets and positions, kept on
-    its charges, and does only the arithmetic: about 20 us plus a few ns per
-    arc and per touched id, so 30-50 us against 80-135 us for a full round
-    of the 4.4k arcs that an ``excess`` eps=1e-3 query on a 100k-node ER
-    graph pushes once its frontier stops growing; 71% of that query's
-    rounds replay, and 4-11% of ``retention`` rounds. Any other graph, such
-    as a small file that should not pay the numpy import
+    pairwise ``np.sum``), so every bit matches. With its senders decided,
+    as the run loop's stop test decides them, a round costs about 30 us of
+    numpy calls (a median 23 us for rounds of under 40 arcs) plus about
+    28 ns per pushed arc and 6 ns per touched id, where the dict round
+    costs about 10 us plus 0.24 us per arc: they break even near 100 arcs
+    per round, and from 3000 on numpy is 6x faster. A round whose senders
+    are those of the round before replays that round's arcs, targets and
+    positions, kept on its charges, and does only the arithmetic: about
+    25 us plus a few ns per arc and per touched id, so a median 41 us
+    against 144 us for a full round of the 3k-5k arcs that an ``excess``
+    eps=1e-3 query pushes once its frontier stops growing; 72% of that
+    query's rounds replay, and 5-10% of ``retention`` rounds. (Rounds of
+    24 queries on a 100k-node, 400k-edge ER graph, best of 15 runs each;
+    Python 3.11, numpy 2.4, 2-core VM.) Any other graph, such as a small
+    file that should not pay the numpy import
     (``chargediff.graph._BULK_MIN_LINES``), plays the dict round.
 
     The dict round is one pass over the pushed arcs. The new vector starts

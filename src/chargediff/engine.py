@@ -16,6 +16,7 @@ from .diffusion import (
     ChargeState,
     DiffusionConfig,
     Variant,
+    emitters,
     excess_total,
     init_state,
     step,
@@ -158,8 +159,9 @@ def should_stop(
     loop passes the value it traced this round), otherwise it is computed
     here. RETENTION, and an EXCESS run not yet below delta, stop with
     ``"quiescent"`` when no active node can transfer (stuck active nodes do
-    not keep a run alive), which is read off the state's frontier in
-    O(frontier). ``lazy`` is RETENTION at epsilon 0: it stops
+    not keep a run alive): when the state has no senders. :func:`emitters`
+    decides them in O(frontier) and keeps them on the state for the round
+    that follows. ``lazy`` is RETENTION at epsilon 0: it stops
     ``"quiescent"`` once no node that holds charge has out-edges. The
     excess test comes first, so a state that passes both is
     ``"excess_below_delta"``. Either reason is truthy and None is not, so
@@ -170,8 +172,7 @@ def should_stop(
             excess = excess_total(state, cfg)
         if excess < cfg.delta:
             return "excess_below_delta"
-    degrees = g.degrees
-    return None if any(degrees[i] > 0 for i in state.active(cfg.epsilon)) else "quiescent"
+    return None if len(emitters(state, g, cfg)) else "quiescent"
 
 
 def build_result(

@@ -18,7 +18,8 @@ TRIANGLE_TEXT = "0 1\n1 2\n2 0\n"
 CHILD_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
 
 # Runs the package as ``python -m chargediff`` does, then reports on the last
-# stderr lines whether numpy and the simulator were imported along the way.
+# stderr lines whether numpy, the simulator and the baseline were imported
+# along the way.
 CHILD = (
     "import runpy, sys\n"
     "try:\n"
@@ -26,6 +27,7 @@ CHILD = (
     "finally:\n"
     "    print(f'numpy loaded: {\"numpy\" in sys.modules}', file=sys.stderr)\n"
     "    print(f'distsim loaded: {\"chargediff.distsim\" in sys.modules}', file=sys.stderr)\n"
+    "    print(f'baselines loaded: {\"chargediff.baselines\" in sys.modules}', file=sys.stderr)\n"
 )
 
 
@@ -412,12 +414,14 @@ def run_child(*argv):
 
 @pytest.mark.parametrize("command", ["knn", "compare"])
 def test_child_process_matches_in_process(capsys, star_file, command):
+    # Only ``compare`` imports the baseline.
+    baselines = command == "compare"
     argv = (command, "--graph", star_file, "--seed", "0", "--epsilon", "0.1", "--k", "3")
     proc = run_child(*argv)
     code, out, err = run_cli(capsys, *argv)
     assert proc.returncode == code == 0
     assert proc.stdout == out
-    assert proc.stderr == err + "numpy loaded: False\ndistsim loaded: False\n"
+    assert proc.stderr == err + f"numpy loaded: False\ndistsim loaded: False\nbaselines loaded: {baselines}\n"
 
 
 def test_package_imports_without_numpy():

@@ -26,8 +26,10 @@ from test_periodic import GRAPHS
 from test_properties import configs, reference_step
 
 from chargediff import engine, graph
-from chargediff.csr import Charges
-from chargediff.diffusion import ChargeState, DiffusionConfig, Variant, excess_total, init_state, step
+from chargediff.csr import Charges, Csr, _split
+from chargediff.diffusion import (
+    ChargeState, DiffusionConfig, Variant, excess_total, init_state, split_terms, splitter, step,
+)
 from chargediff.distsim import run_distributed
 from chargediff.engine import run_query, should_stop
 from chargediff.generators import erdos_renyi_connected
@@ -186,6 +188,17 @@ def scratch_is_clear(g):
     return bool(numpy.signbit(g.csr.scratch).all() and not g.csr.scratch.any())
 
 
+def scratch_holds_mark(g):
+    """Whether the scratch holds the bits of the marked charges at their ids and -0.0 everywhere else."""
+    scratch, mark = g.csr.scratch, g.csr.mark
+    if mark is None:
+        return scratch_is_clear(g)
+    rest = scratch.copy()
+    rest[mark.ids] = -0.0
+    held = scratch[mark.ids].view(numpy.uint64)
+    return bool((held == mark.vals.view(numpy.uint64)).all() and numpy.signbit(rest).all() and not rest.any())
+
+
 def er300_both(weighted):
     """``parse_both`` of ``erdos_renyi_connected(300, 4.0, Random(11))``, its edges weighted from WEIGHTS or not."""
     g0 = erdos_renyi_connected(300, 4.0, random.Random(11))
@@ -214,9 +227,9 @@ def test_queries_stepped_in_turn_match_each_run_alone(variant):
     a, b = init_state(bulk, 3), init_state(bulk, 250)
     for r in range(15):
         a = step(a, bulk, cfg)
-        assert scratch_is_clear(bulk)
+        assert scratch_holds_mark(bulk)
         b = step(b, bulk, cfg)
-        assert scratch_is_clear(bulk)
+        assert scratch_holds_mark(bulk)
         assert hexes(a.x) == alone[3][r] and hexes(b.x) == alone[250][r]
     assert hexes(a.x) == hexes(run_steps(loop, 3, cfg, 15).x)
 
@@ -238,7 +251,7 @@ def test_lazy_rounds_on_a_bulk_graph_match_the_dict_round_bit_for_bit(directed):
 def test_a_round_cut_short_leaves_the_scratch_clear(monkeypatch):
     bulk, _ = parse_both("0 1\n1 2\n2 0\n2 3\n", False)
     state = step(init_state(bulk, 0), bulk, DiffusionConfig())
-    assert scratch_is_clear(bulk)
+    assert bulk.csr.mark is state.x and scratch_holds_mark(bulk)
 
     def interrupted(*args):
         raise KeyboardInterrupt
@@ -248,7 +261,7 @@ def test_a_round_cut_short_leaves_the_scratch_clear(monkeypatch):
     with monkeypatch.context() as m, pytest.raises(KeyboardInterrupt):
         m.setattr(numpy, "signbit", interrupted)
         step(state, bulk, DiffusionConfig())
-    assert scratch_is_clear(bulk)
+    assert scratch_is_clear(bulk) and bulk.csr.mark is None
 
 
 @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
@@ -270,7 +283,7 @@ def test_rounds_whose_senders_repeat_replay_with_the_dict_rounds_bits(variant, w
             assert fast.x.ids is before.x.ids and fast.x == Charges.of(slow.x)
             replays += 1
     assert replays > 0
-    assert scratch_is_clear(bulk)
+    assert scratch_holds_mark(bulk)
 
 
 def test_a_round_that_drops_a_zero_receipt_keeps_no_plan():
@@ -317,10 +330,14 @@ def test_a_replay_cut_short_leaves_the_scratch_clear(monkeypatch):
         def at(self, *args):
             raise KeyboardInterrupt
 
+    # The replay reads and writes neither the scratch nor the mark: they
+    # still hold the charges of the full round before it.
+    mark = bulk.csr.mark
+    assert mark is fast.x and scratch_holds_mark(bulk)
     with monkeypatch.context() as m, pytest.raises(KeyboardInterrupt):
         m.setattr(numpy, "add", Interrupted())
         step(fast, bulk, cfg)
-    assert scratch_is_clear(bulk)
+    assert bulk.csr.mark is mark and scratch_holds_mark(bulk)
     again = step(fast, bulk, cfg)
     assert replayed(again, fast)
     assert_same_state(again, step(slow, loop, cfg))
@@ -418,3 +435,92 @@ def test_small_graphs_never_load_the_numpy_round():
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert (proc.returncode, proc.stdout) == (0, "None False False\n"), proc.stderr
+
+
+def test_runs_and_hand_built_states_in_turn_on_one_graph_keep_their_bits():
+    # Each run or round starts from charges other than the marked ones the
+    # one before it left in the scratch: it must clear those and load its own.
+    bulk, loop = er300_both(False)
+    retention = DiffusionConfig(alpha=0.5, epsilon=0.01)
+    excess = DiffusionConfig(alpha=0.5, epsilon=0.004, variant=Variant.EXCESS, delta=4e-5)
+    assert repr(run_query(bulk, 3, retention)) == repr(run_query(loop, 3, retention))
+    assert scratch_holds_mark(bulk)
+    x = {3: 0.25, 11: 0.5, 250: 0.125, 40: 0.0}
+    fast = step(ChargeState(x=dict(x), t=0, ever_active=set()), bulk, retention)
+    assert_same_state(fast, step(ChargeState(x=dict(x), t=0, ever_active=set()), loop, retention))
+    assert bulk.csr.mark is fast.x and scratch_holds_mark(bulk)
+    assert repr(run_query(bulk, 250, retention)) == repr(run_query(loop, 250, retention))
+    assert scratch_holds_mark(bulk)
+    replays = []
+    real = Csr._replay
+    with mock.patch.object(Csr, "_replay", lambda *args: replays.append(1) or real(*args)):
+        result = run_query(bulk, 3, excess)
+    assert replays and repr(result) == repr(run_query(loop, 3, excess))
+    assert scratch_holds_mark(bulk)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_each_state_decides_its_senders_once(monkeypatch, variant):
+    bulk, _ = er300_both(False)
+    cfg = DiffusionConfig(alpha=0.5, epsilon=0.004, variant=variant, delta=4e-5, max_iterations=30)
+    calls = []
+    real = Csr.senders
+    monkeypatch.setattr(Csr, "senders", lambda self, ids: calls.append(1) or real(self, ids))
+    state = step(init_state(bulk, 3), bulk, cfg)
+    assert not calls
+    assert should_stop(state, bulk, cfg) is None and len(calls) == 1
+    step(state, bulk, cfg)
+    assert len(calls) == 1 and state.senders is not None
+    # The run loop's stop test and round share one answer per array state:
+    # states 1 to t, while state 0 holds a dict and its senders a list.
+    calls.clear()
+    monkeypatch.setattr(engine, "excess_total", lambda state, cfg: 1.0)  # no excess stop
+    result = run_query(bulk, 3, cfg)
+    assert len(calls) == result.iterations
+
+
+def test_a_sink_alone_above_epsilon_is_quiescent():
+    bulk, loop = parse_both("0 1\n1 2\n0 2\n", True)
+    cfg = DiffusionConfig(epsilon=0.1)
+    for g, x in ((bulk, Charges.of({2: 0.9, 0: 0.05})), (bulk, {2: 0.9, 0: 0.05}), (loop, {2: 0.9, 0: 0.05})):
+        state = ChargeState(x=x, t=0, ever_active=set())
+        assert should_stop(state, g, cfg) == "quiescent"
+        assert len(state.senders) == 0
+    assert should_stop(ChargeState(x=Charges.of({1: 0.9}), t=0, ever_active=set()), bulk, cfg) is None
+
+
+SPECIAL_CHARGES = [0.0, 5e-324, 1e-320, 2.2250738585072014e-308, 2.225073858507201e-308, 0.5, 1.0]
+
+
+@given(
+    held=st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from(SPECIAL_CHARGES)), min_size=1, max_size=30),
+    alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+@settings(**SETTINGS)
+def test_split_at_floor_zero_skips_arithmetic_that_changes_no_bit(held, alpha):
+    held = numpy.array(held + SPECIAL_CHARGES)
+    keep, give = 1.0 - alpha, alpha
+    kept, sent = _split(held, 0.0, keep, give)
+    for h, k, s in zip(held.tolist(), kept.tolist(), sent.tolist()):
+        want = 0.0 + keep * (h - 0.0)
+        want = (want, give * (h - 0.0)) if want < h else (h, 0.0)
+        assert (k.hex(), s.hex()) == (want[0].hex(), want[1].hex())
+
+
+@given(
+    variant=st.sampled_from(list(Variant)),
+    held=st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from(SPECIAL_CHARGES)), min_size=1, max_size=30),
+    alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    epsilon=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+@settings(**SETTINGS)
+def test_numpy_split_equals_the_splitter_element_by_element(variant, held, alpha, epsilon):
+    cfg = DiffusionConfig(alpha=alpha, epsilon=epsilon, variant=variant)
+    # Charges a few ulps either side of epsilon, where the kept share rounds back to x.
+    near = [math.nextafter(cfg.epsilon, 2.0), math.nextafter(math.nextafter(cfg.epsilon, 2.0), 2.0), cfg.epsilon]
+    held = numpy.array(held + SPECIAL_CHARGES + near)
+    kept, sent = _split(held, *split_terms(cfg))
+    split = splitter(cfg)
+    for h, k, s in zip(held.tolist(), kept.tolist(), sent.tolist()):
+        want = split(h)
+        assert (k.hex(), s.hex()) == (want[0].hex(), want[1].hex())

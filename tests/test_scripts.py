@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -122,6 +123,21 @@ def test_bench_pairs_takes_the_parent_spread_within_each_input_variant():
     assert (p50["within_bound"], ops["within_bound"]) == ("ok", "ok")
 
 
+def test_bench_pairs_spread_ignores_variants_with_a_single_run():
+    # Ten seeds on ten variants: no variant shows its own spread, so the
+    # spread is the plain quartile distance, not zero.
+    bench_pairs = load_script("bench_pairs")
+    parent_p50 = [10.0 + i / 10 for i in range(10)]
+    lines = [{"variant": i} for i in range(10)]
+    assert bench_pairs.within_variant_spread(lines, parent_p50) == pytest.approx(0.45)
+    # Two runs each on variants 0 and 1, one run on each of six more: only
+    # the pairs count, and their ratios are 1 +- 0.01.
+    values = [10.0, 10.2, 20.0, 20.4] + [30.0 + i for i in range(6)]
+    lines = [{"variant": v} for v in (0, 0, 1, 1, 2, 3, 4, 5, 6, 7)]
+    q1, _, q3 = bench_pairs.quartiles([10.0 / 10.1, 10.2 / 10.1, 20.0 / 20.2, 20.4 / 20.2])
+    assert bench_pairs.within_variant_spread(lines, values) == pytest.approx((q3 - q1) * statistics.median(values))
+
+
 @pytest.mark.parametrize("diffs, expected", [
     # Negative through 28k, positive from 32k, and every IQR clear of zero.
     ([(-9, -5, -1), (-3, -2, -1), (1, 2, 3), (4, 6, 8)], (28000, 32000, True)),
@@ -138,3 +154,35 @@ def test_bulk_threshold_places_the_break_even_from_paired_quartiles(diffs, expec
     bulk_threshold = load_script("bulk_threshold")
     points = list(zip((20000, 28000, 32000, 48000), diffs))
     assert bulk_threshold.break_even(points) == expected
+
+
+def report(ops, latencies, failures=()):
+    """A `perfbench/run.py` report with these op keys and latencies in seconds."""
+    return {"ops": [{"op": op, "iterations": 1, "capped": False} for op in ops],
+            "latencies_s": latencies, "failures": list(failures)}
+
+
+def test_bench_pairs_reports_each_kind_of_operation():
+    bench_pairs = load_script("bench_pairs")
+    assert bench_pairs.op_kind("16609/retention-1e-3") == "retention-1e-3"
+    assert bench_pairs.op_kind("clique20/excess") == "clique20/excess"
+    ops = ["7/retention-1e-3", "9/retention-1e-3", "7/excess-1e-3", "9/retention-1e-3", "clique20/excess"]
+    kinds = bench_pairs.kind_medians(report(ops, [0.002, 0.004, 0.010, 0.003, 0.080]))
+    assert kinds == pytest.approx({"clique20/excess": 80.0, "excess-1e-3": 10.0, "retention-1e-3": 3.0})
+    # A failed operation leaves a latency without its op entry, so the two no longer line up.
+    assert bench_pairs.kind_medians(report(ops[:4], [0.002] * 5, [{"op": ops[4]}])) is None
+
+    def line(retention, excess):
+        return {"kinds": {"retention-1e-3": retention, "excess-1e-3": excess}}
+
+    pairs = [(line(2.0 + i / 10, 10.0), line(1.7 + i / 10, 10.0 - (i % 2))) for i in range(4)]
+    pairs.append((line(2.0, 10.0), {"failed": 1}))  # a run with failures has no kinds
+    rows = bench_pairs.summarize_kinds(pairs)
+    assert [r["kind"] for r in rows] == ["excess-1e-3", "retention-1e-3"]
+    excess, retention = rows
+    assert (retention["parent_ms"], retention["change_ms"]) == pytest.approx((2.15, 1.85))
+    assert retention["ratio"] == pytest.approx(1.85 / 2.15)
+    assert (retention["wins"], retention["pairs"]) == (4, 4)
+    assert (excess["change_ms"], excess["wins"]) == (9.5, 2)
+    table = bench_pairs.format_kinds(rows).splitlines()
+    assert table[0].startswith("op kind\t") and table[2] == "retention-1e-3\t2.15\t1.85\t0.860\t4/4"
