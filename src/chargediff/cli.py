@@ -117,7 +117,12 @@ def _prepare_query(args) -> tuple[Graph, list[int], DiffusionConfig, int, list[s
     return graph, labels, cfg, seed, warnings
 
 
-def _config_echo(args, cfg: DiffusionConfig) -> dict:
+def _report(args, cfg: DiffusionConfig, body: dict, comments: list[str], table: list[str]) -> int:
+    """Print a subcommand's report with its config echo; return exit code 0.
+
+    JSON prints ``{"command", "config", **body}``; TSV prints the config as
+    ``# key=value`` lines, then ``comments`` and the ``table`` lines.
+    """
     echo = {
         "graph": args.graph,
         "directed": args.directed,
@@ -134,23 +139,30 @@ def _config_echo(args, cfg: DiffusionConfig) -> dict:
         echo["seed"] = args.seed
     if hasattr(args, "teleport"):
         echo["teleport"] = args.teleport
-    return echo
-
-
-def _ending(result: QueryResult) -> dict:
-    return {
-        "stop_reason": result.stop_reason,
-        "cycle_start": result.cycle_start,
-        "period": result.period,
-    }
+    if args.format == "json":
+        _emit_json({"command": args.command, "config": echo, **body})
+    else:
+        print("\n".join([*(f"# {key}={echo[key]}" for key in sorted(echo)), *comments, *table]))
+    return 0
 
 
 def _emit_json(doc: dict) -> None:
     print(json.dumps(doc, sort_keys=True, indent=2))
 
 
-def _echo_comments(echo: dict) -> list[str]:
-    return [f"# {key}={echo[key]}" for key in sorted(echo)]
+def _outcome(result: QueryResult, labels: list[int]) -> dict:
+    """The result fields that ``knn`` and ``simulate`` share; warn if the run was capped."""
+    if not result.terminated:
+        print("warning: iteration cap reached without termination", file=sys.stderr)
+    return {
+        "nn_set": [labels[node] for node in result.nn_set],
+        "iterations": result.iterations,
+        "terminated": result.terminated,
+        "touched": result.touched,
+        "stop_reason": result.stop_reason,
+        "cycle_start": result.cycle_start,
+        "period": result.period,
+    }
 
 
 def _check_k(k: int) -> None:
@@ -163,104 +175,60 @@ def _cmd_knn(args) -> int:
     graph, labels, cfg, seed, warnings = _prepare_query(args)
     _check_k(args.k)
     result = run_query(graph, seed, cfg)
-    if not result.terminated:
-        print("warning: iteration cap reached without termination", file=sys.stderr)
     top = top_k(result, args.k, include_seed=args.include_seed)
-    echo = _config_echo(args, cfg)
     charges = result.final_charges
-    if args.format == "tsv":
-        lines = _echo_comments(echo)
-        lines.append("rank\tnode\tcharge")
-        for rank, node in enumerate(top, start=1):
-            lines.append(f"{rank}\t{labels[node]}\t{charges[node]!r}")
-        print("\n".join(lines))
-        return 0
-    doc = {
-        "command": "knn",
-        "config": echo,
-        "warnings": warnings,
-        "result": {
-            "top": [{"node": labels[node], "charge": charges[node]} for node in top],
-            "nn_set": [labels[node] for node in result.nn_set],
-            "nn_set_size": len(result.nn_set),
-            "iterations": result.iterations,
-            "terminated": result.terminated,
-            "touched": result.touched,
-            **_ending(result),
-        },
+    outcome = {
+        **_outcome(result, labels),
+        "top": [{"node": labels[node], "charge": charges[node]} for node in top],
+        "nn_set_size": len(result.nn_set),
     }
     if result.excess_trace is not None:
-        doc["result"]["excess_trace"] = result.excess_trace
-    _emit_json(doc)
-    return 0
+        outcome["excess_trace"] = result.excess_trace
+    table = ["rank\tnode\tcharge"]
+    table += [f"{rank}\t{labels[node]}\t{charges[node]!r}" for rank, node in enumerate(top, 1)]
+    return _report(args, cfg, {"warnings": warnings, "result": outcome}, [], table)
 
 
 def _cmd_simulate(args) -> int:
     # Imported here so that the other subcommands start without the simulator.
-    from .distsim import (
-        message_complexity_report, round_stats_table, run_distributed, total_messages,
-    )
+    from .distsim import message_complexity_report, run_distributed, total_messages
 
     graph, labels, cfg, seed, warnings = _prepare_query(args)
     # Before either run, so that a config without finite bounds plays none.
     bounds = compute_bounds(graph, cfg) if cfg.epsilon > 0.0 else None
     result, stats = run_distributed(graph, seed, cfg)
     match = run_query(graph, seed, cfg) == result
-    if not result.terminated:
-        print("warning: iteration cap reached without termination", file=sys.stderr)
-    note = None
-    if graph.degrees[seed] == 0:
-        note = "seed has no out-edges; nothing to simulate"
-    complexity = None
-    if bounds is not None:
-        complexity = message_complexity_report(stats, result, bounds, max_degree(graph))
-    echo = _config_echo(args, cfg)
-    if args.format == "tsv":
-        lines = _echo_comments(echo)
-        if note:
-            lines.append(f"# note={note}")
-        lines.append(f"# centralized_match={match}")
-        lines.append(f"# cycle_start={result.cycle_start}")
-        lines.append(f"# period={result.period}")
-        lines.append(round_stats_table(stats).rstrip("\n"))
-        print("\n".join(lines))
-        return 0
-    doc = {
-        "command": "simulate",
-        "config": echo,
+    fields = ("round", "messages", "active", "total_charge")
+    rounds = [
+        dict(zip(fields, (r, s.messages_sent, s.active_count, s.total_charge)))
+        for r, s in enumerate(stats, 1)
+    ]
+    body = {
         "warnings": warnings,
         "centralized_match": match,
-        "rounds": [
-            {
-                "round": r,
-                "messages": s.messages_sent,
-                "active": s.active_count,
-                "total_charge": s.total_charge,
-            }
-            for r, s in enumerate(stats, 1)
-        ],
+        "rounds": rounds,
         "totals": {"rounds": result.iterations, "messages": total_messages(stats, result)},
-        "result": {
-            "nn_set": [labels[node] for node in result.nn_set],
-            "iterations": result.iterations,
-            "terminated": result.terminated,
-            "touched": result.touched,
-            **_ending(result),
-        },
+        "result": _outcome(result, labels),
     }
-    if complexity is not None:
-        doc["complexity"] = complexity
-    if note:
-        doc["note"] = note
-    _emit_json(doc)
-    return 0
+    if bounds is not None:
+        body["complexity"] = message_complexity_report(stats, result, bounds, max_degree(graph))
+    comments = []
+    if graph.degrees[seed] == 0:
+        body["note"] = "seed has no out-edges; nothing to simulate"
+        comments.append(f"# note={body['note']}")
+    comments += [
+        f"# centralized_match={match}",
+        f"# cycle_start={result.cycle_start}",
+        f"# period={result.period}",
+    ]
+    table = ["\t".join(fields), *("\t".join(map(repr, row.values())) for row in rounds)]
+    return _report(args, cfg, body, comments, table)
 
 
 def _cmd_bounds(args) -> int:
     graph, _ = _load_graph(args)
     cfg = _make_config(args)
     bounds = compute_bounds(graph, cfg)
-    echo = _config_echo(args, cfg)
     stats = {
         "nodes": graph.node_count,
         "edges": graph.edge_count,
@@ -272,18 +240,9 @@ def _cmd_bounds(args) -> int:
         "max_iterations_bound": bounds.max_iterations_bound,
         "excess_stop_bound": bounds.excess_stop_bound,
     }
-    if args.format == "tsv":
-        lines = _echo_comments(echo)
-        lines.append("quantity\tvalue")
-        for key in sorted(stats):
-            lines.append(f"{key}\t{stats[key]}")
-        for key, val in values.items():
-            lines.append(f"{key}\t{val!r}")
-        print("\n".join(lines))
-        return 0
-    doc = {"command": "bounds", "config": echo, "graph": stats, "bounds": values}
-    _emit_json(doc)
-    return 0
+    table = ["quantity\tvalue"]
+    table += [f"{key}\t{val!r}" for key, val in [*sorted(stats.items()), *values.items()]]
+    return _report(args, cfg, {"graph": stats, "bounds": values}, [], table)
 
 
 def _cmd_compare(args) -> int:
@@ -311,30 +270,12 @@ def _cmd_compare(args) -> int:
         print(f"warning: {exc}", file=sys.stderr)
 
     effective_k = min(args.k, len(diffusion_top), len(ppr_top))
-    note = None
-    if effective_k < args.k:
-        note = f"k={args.k} exceeds available ranks; overlap computed at k={effective_k}"
     overlap = (
         baselines.overlap_at_k(diffusion_top, ppr_top, effective_k)
         if ppr_converged and effective_k >= 1
         else None
     )
-    echo = _config_echo(args, cfg)
-    if args.format == "tsv":
-        lines = _echo_comments(echo)
-        lines.append(f"# overlap={overlap!r}")
-        if note:
-            lines.append(f"# note={note}")
-        lines.append("rank\tdiffusion\tpagerank")
-        for rank in range(max(len(diffusion_top), len(ppr_top))):
-            d = labels[diffusion_top[rank]] if rank < len(diffusion_top) else ""
-            p = labels[ppr_top[rank]] if rank < len(ppr_top) else ""
-            lines.append(f"{rank + 1}\t{d}\t{p}")
-        print("\n".join(lines))
-        return 0
-    doc = {
-        "command": "compare",
-        "config": echo,
+    body = {
         "warnings": warnings,
         "overlap": overlap,
         "effective_k": effective_k,
@@ -344,10 +285,16 @@ def _cmd_compare(args) -> int:
         "nn_set_size": len(result.nn_set),
         "touched": result.touched,
     }
-    if note:
-        doc["note"] = note
-    _emit_json(doc)
-    return 0
+    comments = [f"# overlap={overlap!r}"]
+    if effective_k < args.k:
+        body["note"] = f"k={args.k} exceeds available ranks; overlap computed at k={effective_k}"
+        comments.append(f"# note={body['note']}")
+    table = ["rank\tdiffusion\tpagerank"]
+    for rank in range(max(len(diffusion_top), len(ppr_top))):
+        d = labels[diffusion_top[rank]] if rank < len(diffusion_top) else ""
+        p = labels[ppr_top[rank]] if rank < len(ppr_top) else ""
+        table.append(f"{rank + 1}\t{d}\t{p}")
+    return _report(args, cfg, body, comments, table)
 
 
 _COMMANDS = {

@@ -120,14 +120,6 @@ def run_distributed(
     return result, stats
 
 
-def round_stats_table(stats: list[RoundStats]) -> str:
-    """Tab-separated table of per-round stats, header included."""
-    lines = ["round\tmessages\tactive\ttotal_charge"]
-    for r, row in enumerate(stats, 1):
-        lines.append(f"{r}\t{row.messages_sent}\t{row.active_count}\t{row.total_charge!r}")
-    return "\n".join(lines) + "\n"
-
-
 def total_messages(stats: list[RoundStats], result: QueryResult) -> int:
     """Messages over all ``result.iterations`` rounds of a run and its rows.
 

@@ -7,6 +7,7 @@ program without running the benchmark.
 """
 
 import importlib.util
+import json
 import random
 from pathlib import Path
 from unittest import mock
@@ -75,3 +76,20 @@ def test_trace_targets_resolve_and_step_calls_match_rounds(bench):
         seen.append((result, calls, counted))
     # The two rounds play the same run with the same calls and counts.
     assert seen[0] == seen[1]
+
+
+def test_cli_spans_fire_once_for_a_knn_report(bench, capsys, tmp_path):
+    from bench_trace import Tracer, patched
+
+    import chargediff.cli as cli
+
+    path = tmp_path / "triangle.edges"
+    path.write_text("0 1\n1 2\n2 0\n")
+    tracer = Tracer()
+    with patched(tracer, bench.trace_targets(tracer)):
+        code = cli.main(["knn", "--graph", str(path), "--seed", "0", "--max-iters", "50"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["command"] == "knn"
+    calls = {label: t["calls"] for label, t in tracer.totals([-1]).items()}
+    for label in ("cli.main", "cli.load_graph", "engine.run_query", "cli.render"):
+        assert calls.get(label) == 1, label

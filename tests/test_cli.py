@@ -278,6 +278,8 @@ def test_simulate_lazy_rows(capsys, triangle_file):
     lines = out.strip().splitlines()
     data = [line for line in lines if line and line[0].isdigit()]
     assert len(data) == 5
+    # The table's header, then one row per round, ends the report.
+    assert lines[-6:-5] == ["round\tmessages\tactive\ttotal_charge"]
     # Round 1: only the seed holds charge, and sends along its 2 arcs. From
     # round 2 on all three nodes hold charge and send along all 2|E| = 6.
     assert [line.split("\t")[1] for line in data] == ["2", "6", "6", "6", "6"]

@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from chargediff.diffusion import DiffusionConfig, Variant, emitters, init_state, step
-from chargediff.distsim import message_complexity_report, round_stats_table, run_distributed, total_messages
+from chargediff.distsim import message_complexity_report, run_distributed, total_messages
 from chargediff.engine import compute_bounds, run_query, should_stop
 from chargediff.generators import (
     erdos_renyi_connected,
@@ -151,14 +151,6 @@ def test_distinct_recipients_within_touched_bound():
         state = step(state, g, cfg)
     bounds = compute_bounds(g, cfg)
     assert len(recipients) <= bounds.max_touched
-
-
-def test_round_stats_table_shape():
-    _, stats = run_distributed(STAR, 0, STAR_CFG)
-    table = round_stats_table(stats)
-    lines = table.strip().splitlines()
-    assert lines[0] == "round\tmessages\tactive\ttotal_charge"
-    assert len(lines) == 5
 
 
 def test_message_report_star():
