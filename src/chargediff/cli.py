@@ -7,10 +7,13 @@ Subcommands: ``knn`` (run a query and print the top-k neighbors),
 
 Output is machine-readable JSON by default (``--format tsv`` for tabular
 text); identical invocations produce byte-identical output, and every report
-echoes the effective config. Exit codes: 0 success, 1 usage or config error,
-2 I/O or parse error. A reader that closes stdout early (``| head``) ends
-the run with exit 2 and no message. Node ids in reports always use the input
-file's original labels; sparse labels are compacted internally only.
+echoes the effective config. A config that the graph is too small for, say
+one whose run cannot terminate, prints ``warning:`` lines on stderr and lists
+them in the JSON ``warnings``, under every subcommand. Exit codes: 0
+success, 1 usage or config error, 2 I/O or parse error. A reader that closes
+stdout early (``| head``) ends the run with exit 2 and no message. Node ids
+in reports always use the input file's original labels; sparse labels are
+compacted internally only.
 
 A report costs what it answers, not the iteration cap. The ``result`` of
 ``knn`` and ``simulate`` carries ``stop_reason`` (``quiescent``,
@@ -111,10 +114,15 @@ def _prepare_query(args) -> tuple[Graph, list[int], DiffusionConfig, int, list[s
     graph, labels = _load_graph(args)
     cfg = _make_config(args)
     seed = _dense_seed(args, labels)
+    return graph, labels, cfg, seed, _warn(graph, cfg)
+
+
+def _warn(graph: Graph, cfg: DiffusionConfig) -> list[str]:
+    """Validate the config on the graph and print its warnings to stderr."""
     warnings = validate_config(graph, cfg)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-    return graph, labels, cfg, seed, warnings
+    return warnings
 
 
 def _report(args, cfg: DiffusionConfig, body: dict, comments: list[str], table: list[str]) -> int:
@@ -229,6 +237,8 @@ def _cmd_bounds(args) -> int:
     graph, _ = _load_graph(args)
     cfg = _make_config(args)
     bounds = compute_bounds(graph, cfg)
+    # After compute_bounds, so that its config errors come first.
+    warnings = _warn(graph, cfg)
     stats = {
         "nodes": graph.node_count,
         "edges": graph.edge_count,
@@ -242,7 +252,7 @@ def _cmd_bounds(args) -> int:
     }
     table = ["quantity\tvalue"]
     table += [f"{key}\t{val!r}" for key, val in [*sorted(stats.items()), *values.items()]]
-    return _report(args, cfg, {"graph": stats, "bounds": values}, [], table)
+    return _report(args, cfg, {"warnings": warnings, "graph": stats, "bounds": values}, [], table)
 
 
 def _cmd_compare(args) -> int:

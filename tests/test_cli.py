@@ -307,6 +307,19 @@ def test_bounds_high_alpha(capsys, star_file):
     assert json.loads(out)["bounds"]["max_core_size"] == 100
 
 
+def test_bounds_warns_as_knn_does(capsys, triangle_file):
+    # n=3 <= 1/epsilon, so no run can terminate, and bounds says so too.
+    argv = ("--graph", triangle_file, "--epsilon", "0.01")
+    code, out, err = run_cli(capsys, "bounds", *argv)
+    assert code == 0
+    warnings = json.loads(out)["warnings"]
+    assert len(warnings) == 2 and "cannot terminate" in warnings[0]
+    assert err == "".join(f"warning: {w}\n" for w in warnings)
+    _, knn_out, knn_err = run_cli(capsys, "knn", *argv, "--seed", "0", "--max-iters", "50")
+    assert json.loads(knn_out)["warnings"] == warnings
+    assert knn_err.startswith(err)
+
+
 def test_bounds_zero_epsilon_exits_1(capsys, star_file):
     code, _, _ = run_cli(capsys, "bounds", "--graph", star_file, "--epsilon", "0")
     assert code == 1
