@@ -3,9 +3,9 @@
 CSR (compressed sparse rows) keeps a graph's arcs in flat arrays: the arcs
 of node ``i`` are positions ``indptr[i]:indptr[i + 1]`` of ``targets`` and
 of ``ratios``. The bulk parse in :mod:`chargediff.graph` has these arrays
-already, so the graphs it builds keep them, in place of per-node rows until
-a row is read, and :func:`chargediff.diffusion.step` plays their rounds with
-:meth:`Csr.play`.
+already, so the graphs it builds keep them in place of per-node rows;
+``Graph.row`` slices them, and :func:`chargediff.diffusion.step` plays
+their rounds with :meth:`Csr.play`.
 Every other graph keeps the dict round. Only the bulk parse imports this
 module, and its functions use the numpy that the bulk parse loaded; so a
 process that parses only small files compiles and loads neither.
@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 
 @dataclass(eq=False)
@@ -25,15 +25,16 @@ class Csr:
 
     ``indptr`` holds the n + 1 row starts, and ``targets`` each arc's target,
     ascending within a row; both are int64. ``ratios`` holds each arc's
-    ratio, float64 with the bits of ``Graph.out_ratios``. It is None for
-    unweighted text, where every row is uniform and an arc's ratio is
-    ``1.0 / degree``, computed per sender in the round.
+    ratio, float64 with the bits of the ratios ``Graph.row`` gives a
+    line-loop graph. It is None for unweighted text, where every row is
+    uniform and an arc's ratio is ``1.0 / degree``, computed per sender in
+    the round.
 
     A graph from the bulk parse holds these arrays in place of its per-node
-    rows, and builds the rows from ``targets`` and its degrees when a row is
-    first read: ``simulate`` and ``compare`` read rows, ``knn`` and
-    ``bounds`` do not. Weighted text builds its weight and ratio rows at
-    parse time, since ``ratios`` takes its bits from them.
+    rows: ``Graph.row`` slices them, and only ``==``, ``hash``, ``repr`` and
+    ``serialize_edge_list`` build the target and weight rows. Weighted text
+    builds its weight rows at parse time, and ``ratios`` is the one copy of
+    their ratios.
 
     ``degrees`` holds each row's arc count (int64), as the bulk parse counted
     them, so the senders of a set of ids, a round's row counts and a row
@@ -71,15 +72,15 @@ class Csr:
     mark: Charges | None
 
     @classmethod
-    def of(cls, degrees: Any, targets: Any, out_ratios: Sequence[Sequence[float]] | None) -> Csr:
-        """The arrays of rows with these degrees and targets; ratios from ``out_ratios`` unless None."""
+    def of(cls, degrees: Any, targets: Any, ratio_rows: Iterable[Sequence[float]] | None) -> Csr:
+        """The arrays of rows with these degrees and targets; ratios from ``ratio_rows`` unless None."""
         import numpy as np
 
         indptr = np.zeros(len(degrees) + 1, dtype=np.int64)
         np.cumsum(degrees, out=indptr[1:])
         ratios = None
-        if out_ratios is not None:
-            flat = itertools.chain.from_iterable(out_ratios)
+        if ratio_rows is not None:
+            flat = itertools.chain.from_iterable(ratio_rows)
             ratios = np.fromiter(flat, dtype=np.float64, count=len(targets))
         n = len(degrees)
         return cls(indptr, targets, ratios, degrees, np.full(n, -0.0), np.zeros(n, dtype=np.int64), None)

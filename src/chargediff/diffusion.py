@@ -233,7 +233,8 @@ def step(state: ChargeState, g: Graph, cfg: DiffusionConfig) -> ChargeState:
     The dict round is one pass over the pushed arcs. The new vector starts
     as a copy of ``x`` with every sender's retained share written in (before
     any receipt, since a sender can also receive); receipts ``sent * ratio``
-    then fold straight into it, walking senders in ascending id order, so
+    (over the sender's :meth:`~chargediff.graph.Graph.row`) then fold
+    straight into it, walking senders in ascending id order, so
     each receiver adds its receipts to its retained charge (or to 0.0) in
     ascending sender order. A zero receipt adds no key. A receipt that
     lifts its receiver from at most epsilon to above it records the
@@ -261,9 +262,9 @@ def step(state: ChargeState, g: Graph, cfg: DiffusionConfig) -> ChargeState:
 
     risen = []
     get = new_x.get
-    targets, out_ratios = g.targets, g.out_ratios
+    row = g.row
     for j, sent in pushes:
-        for t, ratio in zip(targets[j], out_ratios[j]):
+        for t, ratio in zip(*row(j)):
             amount = sent * ratio
             if amount != 0.0:
                 before = get(t, 0.0)

@@ -1,15 +1,17 @@
 """Synchronous message-passing twin of the centralized query driver.
 
-Every node knows only its own charge and its out-edge list. A round has two
-phases. In phase 1 each transmitting node splits its round-start charge once
-and mails ``(sender, amount)`` along each out-edge into the round's inbox.
-In phase 2, behind a barrier, each node that sent or received mail folds
-its inbox, sorted by sender id, into the charge it kept; every other node
-keeps its charge untouched. An omniscient coordinator, the centralized
-engine's own run loop, holds the charge vector and applies the stop
-predicate before each round, so iteration counts and every float in the
-final charge vector match :func:`chargediff.engine.run_query` exactly, not
-just approximately.
+Every node knows only its own charge and its out-edge list, the targets and
+ratios that :meth:`chargediff.graph.Graph.row` reads for it; on a bulk-parsed
+graph that is a slice of its arrays, so the simulator builds no rows. A
+round has two phases. In phase 1 each transmitting node splits its
+round-start charge once and mails ``(sender, amount)`` along each out-edge
+into the round's inbox. In phase 2, behind a barrier, each node that sent
+or received mail folds its inbox, sorted by sender id, into the charge it
+kept; every other node keeps its charge untouched. An omniscient
+coordinator, the centralized engine's own run loop, holds the charge vector
+and applies the stop predicate before each round, so iteration counts and
+every float in the final charge vector match
+:func:`chargediff.engine.run_query` exactly, not just approximately.
 
 Real distributed termination detection is out of scope; the coordinator
 stands in for it so that message accounting stays faithful.
@@ -71,15 +73,15 @@ def run_distributed(
         inbox: dict[int, list[tuple[int, float]]] = {}
         messages = 0
         in_flight = 0.0
-        targets, out_ratios, degrees = g.targets, g.out_ratios, g.degrees
         for j in emitters(state, g, cfg):
             kept[j], sent = split(x[j])
             inbox.setdefault(j, [])
-            for target, ratio in zip(targets[j], out_ratios[j]):
+            targets, ratios = g.row(j)
+            for target, ratio in zip(targets, ratios):
                 amount = sent * ratio
                 inbox.setdefault(target, []).append((j, amount))
                 in_flight += amount
-            messages += degrees[j]
+            messages += len(targets)
 
         held = sum(kept.get(i, xi) for i, xi in x.items())
         if abs(held + in_flight - 1.0) > 1e-9:

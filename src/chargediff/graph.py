@@ -10,8 +10,9 @@ Large clean texts are parsed in bulk with numpy, which is imported for them
 only; small texts, and every text the bulk parse does not accept, go through
 a line loop that reports the offending line. Both build equal graphs. The
 bulk parse's graphs hold its flat arrays (``Graph.csr``), over which queries
-play their rounds in numpy, and build their per-node rows from them on first
-read.
+play their rounds in numpy and which :meth:`Graph.row` slices; they build
+their per-node rows from them only when compared, hashed, printed or
+serialized.
 """
 
 from __future__ import annotations
@@ -35,47 +36,47 @@ class Graph:
 
     ``targets[i]`` is the tuple of node ``i``'s out-neighbor ids, ascending,
     and ``weights[i][k]`` the weight of its arc to ``targets[i][k]``, as
-    given. These four fields are the graph: equality and hashing read them
-    alone. The constructor derives the other rows from them, once per
-    weight-row object, so rows given as one shared tuple share their derived
-    rows:
+    given. These four fields are the graph: equality, hashing and ``repr``
+    read them alone. ``degrees[i]`` is ``len(targets[i])``.
 
-    - ``out_ratios[i][k]``, the share of node ``i``'s total out-weight
-      carried by its arc to ``targets[i][k]`` (see :func:`_ratio_row`);
-    - ``degrees[i]``, which is ``len(targets[i])``.
+    :meth:`row` is the one reader of a node's arcs outside this module: it
+    returns the node's targets and ratios, where the ratio of an arc is its
+    share of the node's total out-weight (see :func:`_ratio_row`). The
+    constructor derives the ratio rows from ``weights`` once, into a private
+    field.
 
     ``csr`` holds the same rows as flat numpy arrays
     (:class:`chargediff.csr.Csr`) when the bulk parse built the graph, and
     is None otherwise. Such a graph comes from :meth:`of_arrays`. It holds
     ``node_count``, ``directed``, ``degrees`` and its arrays, and, when
-    weighted, its weight and ratio rows, whose bits ``csr`` takes. Its other
-    rows are built from the arrays on first read, once, and kept: the line
-    loop's rows, bit for bit, with one shared weight tuple per degree for
-    unweighted text. :func:`chargediff.diffusion.step` plays the rounds of
-    a graph with ``csr`` in numpy, with the dict round's bits, and reads no
-    row: receipts fold with ``np.add.at`` in ascending sender order, and
-    the excess sums with ``np.cumsum`` (``step`` gives the cost of either
-    round). So ``run_query`` and the ``knn`` subcommand never build the
-    rows of a large file, and ``edge_count`` counts self-loops from
-    ``csr``, so ``bounds`` does not either. The simulator, personalized
-    pagerank, :func:`serialize_edge_list`, and ``==``, ``hash`` and
-    ``repr`` read them, so ``simulate`` and ``compare`` build them once. A
-    graph without ``csr``, such as a small file parsed line by line, keeps
-    the dict round and never loads numpy, whose import cost
-    ``_BULK_MIN_LINES`` weighs.
+    weighted, its weight rows; each ratio is stored once, in ``csr``.
+    :meth:`row` slices the arrays. ``targets`` and ``weights`` are built
+    from them on first read, once, and kept: the line loop's rows, bit for
+    bit, with one shared weight tuple per degree for unweighted text. Only
+    ``==``, ``hash``, ``repr`` and :func:`serialize_edge_list` read them.
+    :func:`chargediff.diffusion.step` plays the rounds of a graph with
+    ``csr`` in numpy, with the dict round's bits, and reads no row:
+    receipts fold with ``np.add.at`` in ascending sender order, and the
+    excess sums with ``np.cumsum`` (``step`` gives the cost of either
+    round). The simulator and personalized pagerank read the rows they
+    reach through :meth:`row`, and ``edge_count`` counts self-loops from
+    ``csr``, so no subcommand builds the rows of a large file. A graph
+    without ``csr``, such as a small file parsed line by line, keeps the
+    dict round and never loads numpy, whose import cost ``_BULK_MIN_LINES``
+    weighs.
     """
 
     node_count: int
     directed: bool
     targets: tuple[tuple[int, ...], ...]
     weights: tuple[tuple[float, ...], ...]
-    out_ratios: tuple[tuple[float, ...], ...] = field(init=False, compare=False)
-    degrees: tuple[int, ...] = field(init=False, compare=False)
+    degrees: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    _ratios: tuple[tuple[float, ...], ...] = field(init=False, compare=False, repr=False)
     csr: Csr | None = field(init=False, default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "out_ratios", _ratio_rows(self.weights))
         object.__setattr__(self, "degrees", tuple(map(len, self.targets)))
+        object.__setattr__(self, "_ratios", tuple(map(_ratio_row, self.weights)))
 
     @classmethod
     def of_arrays(cls, directed: bool, degrees, targets, weights) -> Graph:
@@ -83,20 +84,21 @@ class Graph:
 
         ``degrees`` counts each node's arcs, and ``targets`` and ``weights``
         (None for unweighted text) list the arcs, as numpy arrays. The graph
-        keeps ``targets`` in its ``csr``, and builds its rows from it on
-        first read. A weighted graph builds its weight and ratio rows here:
-        its ratios are :func:`_ratio_row`'s exact rationals, and ``csr``
-        carries their bits.
+        keeps ``targets`` in its ``csr``, and builds its target rows from it
+        on first read. A weighted graph builds its weight rows here, and
+        from them the ratios of :func:`_ratio_row`'s exact rationals, whose
+        bits ``csr`` keeps; it keeps no ratio rows.
         """
         from .csr import Csr
 
         graph = object.__new__(cls)
         degree_list = degrees.tolist()
         fields = {"node_count": len(degree_list), "directed": directed, "degrees": tuple(degree_list)}
+        ratios = None
         if weights is not None:
             fields["weights"] = tuple(_split_rows(weights.tolist(), degree_list))
-            fields["out_ratios"] = _ratio_rows(fields["weights"])
-        fields["csr"] = Csr.of(degrees, targets, fields.get("out_ratios"))
+            ratios = map(_ratio_row, fields["weights"])
+        fields["csr"] = Csr.of(degrees, targets, ratios)
         vars(graph).update(fields)
         return graph
 
@@ -104,15 +106,29 @@ class Graph:
         # Reached only for an attribute the instance lacks: on a graph from
         # of_arrays, a row not yet built. Build the rows once, and keep them.
         state = vars(self)
-        if name not in ("targets", "weights", "out_ratios") or state.get("csr") is None:
+        if name not in ("targets", "weights") or state.get("csr") is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         state["targets"] = tuple(_split_rows(self.csr.targets.tolist(), self.degrees))
         if "weights" not in state:
             # Unweighted rows of one degree share one weight tuple.
             shared = {d: (1.0,) * d for d in set(self.degrees)}
             state["weights"] = tuple(map(shared.__getitem__, self.degrees))
-            state["out_ratios"] = _ratio_rows(state["weights"])
         return state[name]
+
+    def row(self, i: int) -> tuple[tuple[int, ...], tuple[float, ...]]:
+        """``(targets, ratios)`` of node ``i``'s arcs, as tuples with the line loop's bits.
+
+        A graph with ``csr`` slices its arrays: the ratios of weighted text,
+        or ``1.0 / degree`` for each arc of unweighted text.
+        """
+        csr = self.csr
+        if csr is None:
+            return self.targets[i], self._ratios[i]
+        start, end = csr.indptr[i : i + 2].tolist()
+        targets = tuple(csr.targets[start:end].tolist())
+        if csr.ratios is not None:
+            return targets, tuple(csr.ratios[start:end].tolist())
+        return targets, ((1.0 / (end - start),) * (end - start) if end > start else ())
 
     @property
     def arc_count(self) -> int:
@@ -131,25 +147,12 @@ class Graph:
         return (self.arc_count + loops) // 2
 
 
-def _ratio_rows(weights: Sequence[Sequence[float]]) -> tuple[tuple[float, ...], ...]:
-    """The ``out_ratios`` of these weight rows, derived once per row object.
-
-    Keyed by the row's id, so no row of floats is hashed (hashing every row
-    made the 100k-node bulk parse about 15% slower). Rows given as one
-    shared tuple share their ratio row; equal rows given as distinct tuples
-    are derived apart, to the same bits.
-    """
-    keys = list(map(id, weights))
-    ratio_of = {key: _ratio_row(row) for key, row in dict(zip(keys, weights)).items()}
-    return tuple(map(ratio_of.__getitem__, keys))
-
-
 def _ratio_row(weights: Sequence[float]) -> tuple[float, ...]:
     """Each weight's share of the row's total, rounded once from the exact w / sum(w).
 
     Rounding the exact rational keeps trajectories identical when all
     weights are rescaled by a common factor that the floats represent
-    exactly. Only :func:`_ratio_rows` calls this.
+    exactly.
     """
     if not weights:
         return ()

@@ -363,16 +363,30 @@ def test_repeat_query_on_a_100k_node_graph_allocates_what_it_touches():
     assert first.iterations == 4 and first.touched == 11
 
 
-def repeat_query_peak(g, seed, cfg):
-    """``(result, tracemalloc peak)`` of a query run a second time, so one-off set-up is not counted."""
-    run_query(g, seed, cfg)
+def traced_peak(run):
+    """``(run(), tracemalloc peak)``."""
     tracemalloc.start()
     try:
-        result = run_query(g, seed, cfg)
+        result = run()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     return result, peak
+
+
+def padded_texts():
+    """``(factor, text)``: a 200-node ER component, alone and with ``factor`` times as many nodes above its ids.
+
+    The padding nodes form 2-node components, so no query reaches them.
+    """
+    text = serialize_edge_list(erdos_renyi_connected(200, 4.0, random.Random(5)))
+    return [(f, text + "".join(f"{a} {a + 1}\n" for a in range(200, 200 + f * 200, 2))) for f in (0, 10, 100)]
+
+
+def padding_config(variant):
+    # A lazy walk on a connected component never stops on its own, so its run is capped.
+    cfg = DiffusionConfig(alpha=0.5, epsilon=0.02, variant=variant, delta=1e-3)
+    return replace(cfg, max_iterations=4) if variant is Variant.LAZY_WALK else cfg
 
 
 # Allocator free lists move a repeat query's peak by up to about 2 kB between
@@ -380,31 +394,52 @@ def repeat_query_peak(g, seed, cfg):
 PADDING_SLACK = 4 * 2**10
 
 
-@pytest.mark.parametrize("variant", list(Variant))
-@pytest.mark.parametrize("bulk_side", [True, False], ids=["numpy", "dict"])
-def test_unreachable_padding_changes_neither_the_result_nor_its_allocations(variant, bulk_side):
-    # A 200-node ER component, then 10x and 100x as many nodes in 2-node
-    # components with ids above it: the fold order and the bits stay, and a
-    # query allocates for what it touches, not for the graph. A lazy walk on
-    # a connected component never stops on its own, so its run is capped.
-    g0 = erdos_renyi_connected(200, 4.0, random.Random(5))
-    text = serialize_edge_list(g0)
-    lazy = variant is Variant.LAZY_WALK
-    cfg = DiffusionConfig(alpha=0.5, epsilon=0.02, variant=variant, delta=1e-3)
-    if lazy:
-        cfg = replace(cfg, max_iterations=4)
-    outcomes = []
-    for factor in (0, 10, 100):
-        padding = "".join(f"{a} {a + 1}\n" for a in range(200, 200 + factor * 200, 2))
-        g = parse_both(text + padding, False)[0 if bulk_side else 1]
-        assert g.node_count == 200 * (1 + factor)
-        result, peak = repeat_query_peak(g, 7, cfg)
-        assert (result.iterations == 4 if lazy else result.terminated) and result.touched < 200
-        outcomes.append((factor, repr(result), peak))
+def assert_padding_changes_nothing(outcomes):
+    """Each ``(factor, result text, peak)`` has the unpadded graph's result, and its peak within the slack."""
     (_, base, base_peak), *padded = outcomes
     for factor, text_repr, peak in padded:
         assert text_repr == base
         assert abs(peak - base_peak) <= PADDING_SLACK, f"factor {factor}: base_peak {base_peak}, peak {peak}"
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("bulk_side", [True, False], ids=["numpy", "dict"])
+def test_unreachable_padding_changes_neither_the_result_nor_its_allocations(variant, bulk_side):
+    # The fold order and the bits stay, and a query allocates for what it
+    # touches, not for the graph. The query is run a second time, so one-off
+    # set-up is not counted.
+    cfg = padding_config(variant)
+    outcomes = []
+    for factor, text in padded_texts():
+        g = parse_both(text, False)[0 if bulk_side else 1]
+        assert g.node_count == 200 * (1 + factor)
+        run_query(g, 7, cfg)
+        result, peak = traced_peak(lambda: run_query(g, 7, cfg))
+        assert (result.iterations == 4 if cfg.max_iterations == 4 else result.terminated) and result.touched < 200
+        outcomes.append((factor, repr(result), peak))
+    assert_padding_changes_nothing(outcomes)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("bulk_side", [True, False], ids=["numpy", "dict"])
+def test_unreachable_padding_changes_neither_the_simulators_result_nor_its_allocations(variant, bulk_side):
+    # The simulator reads the rows of its senders alone, so even its first
+    # run on a graph allocates for what it touches: on a bulk graph it
+    # builds no rows. A run on another graph first takes the process's
+    # one-off set-up out of the peaks.
+    cfg = padding_config(variant)
+    outcomes = []
+    with mock.patch.object(graph, "_BULK_MIN_LINES", 0 if bulk_side else math.inf):
+        texts = padded_texts()
+        run_distributed(parse_edge_list(texts[0][1]), 7, cfg)
+        for factor, text in texts:
+            g = parse_edge_list(text)
+            assert (g.csr is not None) == bulk_side
+            (result, stats), peak = traced_peak(lambda: run_distributed(g, 7, cfg))
+            assert result.touched < 200 and stats
+            assert not bulk_side or not {"targets", "weights"} & set(vars(g))
+            outcomes.append((factor, repr((result, stats)), peak))
+    assert_padding_changes_nothing(outcomes)
 
 
 def test_charges_read_as_a_mapping_of_python_numbers():

@@ -1,5 +1,7 @@
+import ast
 import pickle
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -171,11 +173,19 @@ def test_relabeled_parse_identity_for_dense_ids():
     assert g.degrees == (1, 2, 1)
 
 
+def ratio_rows(g):
+    """Every node's ratios, read through ``Graph.row``."""
+    return tuple(g.row(i)[1] for i in range(g.node_count))
+
+
 def test_out_ratios_sum_to_one():
     g = parse_edge_list("0 1 0.3\n0 2 0.7\n0 3 1.1\n1 2")
     for i in range(g.node_count):
         if g.degrees[i]:
-            assert sum(g.out_ratios[i]) == pytest.approx(1.0, abs=1e-15)
+            assert sum(g.row(i)[1]) == pytest.approx(1.0, abs=1e-15)
+    g = parse_edge_list("0 1 2.5\n0 2 2.5\n1 2 1\n1 3 2\n4 4 0.5", directed=True)
+    assert ratio_rows(g) == ((0.5, 0.5), (1 / 3, 2 / 3), (), (), (1.0,))
+    assert g.row(1) == ((2, 3), (1 / 3, 2 / 3)) and g.row(2) == ((), ())
 
 
 def fraction_ratio_row(weights):
@@ -206,17 +216,6 @@ def test_graphs_compare_and_hash_by_rows_and_weights():
     assert parse_edge_list("0 1 2.5\n1 2 0.125", directed=True) != g
 
 
-def test_rows_of_one_tuple_share_their_ratio_row():
-    g = parse_edge_list("0 1 2.5\n0 2 2.5\n1 2 1\n1 3 2\n4 4 0.5", directed=True)
-    assert g.out_ratios == ((0.5, 0.5), (1 / 3, 2 / 3), (), (), (1.0,))
-    # Rows given as one tuple share their derived row; equal rows given as
-    # distinct tuples get equal ones.
-    row, twin = (3.0, 3.0), tuple(float(s) for s in ("3.0", "3.0"))
-    g = Graph(4, True, ((1, 2), (0, 2), (0, 1), ()), (row, row, twin, ()))
-    assert g.out_ratios[0] is g.out_ratios[1]
-    assert g.out_ratios[2] == g.out_ratios[0] == (0.5, 0.5) and g.out_ratios[3] == ()
-
-
 def test_hand_built_graph_derives_the_rows_of_from_edges():
     edges = [(0, 1, 0.5), (0, 2, 0.25), (1, 2, 3.0), (2, 2, 1.0), (2, 3, 1.0)]
     g = from_edges(edges, directed=True, node_count=5)
@@ -226,8 +225,13 @@ def test_hand_built_graph_derives_the_rows_of_from_edges():
     hand = Graph(5, True, ((1, 2), (2,), (2, 3), (), ()), ((0.5, 0.25), (3.0,), tuple(one), (), ()))
     assert hand == g and hash(hand) == hash(g)
     for a, b in ((hand, g), (g, hand)):
-        assert [[r.hex() for r in row] for row in a.out_ratios] == [[r.hex() for r in row] for row in b.out_ratios]
+        assert [[r.hex() for r in row] for row in ratio_rows(a)] == [[r.hex() for r in row] for row in ratio_rows(b)]
         assert a.degrees == b.degrees == (2, 1, 2, 0, 0)
+    assert ratio_rows(hand) == ((2 / 3, 1 / 3), (1.0,), (0.5, 0.5), (), ())
+    # One weight tuple given for several rows derives equal ratio rows.
+    row = (3.0, 3.0)
+    shared = Graph(3, True, ((1, 2), (0, 2), ()), (row, row, ()))
+    assert ratio_rows(shared) == ((0.5, 0.5), (0.5, 0.5), ())
 
 
 WEIGHTED_TEXT = "0 1 2.5\n0 2 2.5\n1 2 1\n1 3 2\n2 3 0.75\n3 3 4"
@@ -235,7 +239,7 @@ UNWEIGHTED_TEXT = "0 1\n0 2\n1 2\n2 3\n3 3\n5 4"
 
 
 def bulk_parsed(text):
-    """``parse_edge_list(text)`` through the bulk parse, which keeps CSR arrays and builds no target rows."""
+    """``parse_edge_list(text)`` through the bulk parse, which keeps CSR arrays and builds no rows."""
     with mock.patch.object(graph, "_BULK_MIN_LINES", 0):
         g = parse_edge_list(text)
     assert g.csr is not None and "targets" not in vars(g)
@@ -280,7 +284,9 @@ def test_pickled_graph_keeps_rows_and_step_bits(make, text):
     twin = g if text is None else line_loop(text)
     for a in (copy, g):
         assert a == twin and hash(a) == hash(twin) and repr(a) == repr(twin)
-    assert copy.degrees == g.degrees and copy.out_ratios == g.out_ratios
+    assert copy.degrees == g.degrees and ratio_rows(copy) == ratio_rows(g) == ratio_rows(twin)
+    # Only a graph without arrays keeps ratio rows.
+    assert ("_ratios" in vars(g)) == ("_ratios" in vars(copy)) == (g.csr is None)
     assert (copy.csr is None) == (g.csr is None)
     if arrays:
         # Building the rows leaves the arrays as they were.
@@ -290,3 +296,20 @@ def test_pickled_graph_keeps_rows_and_step_bits(make, text):
     for _ in range(10):
         a, b = step(a, g, cfg), step(b, copy, cfg)
         assert [(i, xi.hex()) for i, xi in a.x.items()] == [(i, xi.hex()) for i, xi in b.x.items()]
+
+
+# The row fields of a Graph, which code outside graph.py and csr.py reads
+# through Graph.row alone.
+ROW_FIELDS = {"targets", "weights", "out_ratios", "_ratios"}
+
+
+def test_only_the_graph_modules_read_row_fields():
+    package = Path(graph.__file__).parent
+    reads = [
+        f"{path.name}:{node.lineno}: .{node.attr}"
+        for path in sorted(package.glob("*.py"))
+        if path.name not in ("graph.py", "csr.py")
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in ROW_FIELDS
+    ]
+    assert reads == []

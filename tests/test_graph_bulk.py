@@ -49,13 +49,19 @@ def above_threshold(text):
     return text.count("\n") >= graph._BULK_MIN_LINES
 
 
+def row_bits(g):
+    """Every node's ``row``: its targets and the hex bits of its ratios."""
+    rows = map(g.row, range(g.node_count))
+    return [(targets, [r.hex() for r in ratios]) for targets, ratios in rows]
+
+
 def bits(g):
     return (
         g.node_count,
         g.directed,
         g.targets,
         g.degrees,
-        [[r.hex() for r in row] for row in g.out_ratios],
+        row_bits(g),
         [[w.hex() for w in row] for row in g.weights],
     )
 
@@ -91,6 +97,8 @@ def assert_same(a, b):
     if isinstance(a, tuple):
         (a, labels_a), (b, labels_b) = a, b
         assert labels_a == labels_b
+    # Read before any row is built, and again after.
+    assert row_bits(a) == row_bits(b)
     for g, other in ((a, b), (b, a)):
         if g.csr is not None and "targets" not in vars(g):
             arrays = csr_bits(g)
@@ -103,8 +111,10 @@ def assert_same(a, b):
     assert bits(a) == bits(b)
     for g in (a, b):
         if g.csr is not None:
-            flat = [t for row in g.targets for t in row], [r.hex() for row in g.out_ratios for r in row]
+            rows = row_bits(g)
+            flat = [t for targets, _ in rows for t in targets], [r for _, ratios in rows for r in ratios]
             assert g.csr.indptr[0] == 0 and csr_bits(g) == (list(g.degrees), *flat)
+            assert "_ratios" not in vars(g)
             assert numpy.signbit(g.csr.scratch).all() and not g.csr.scratch.any()
 
 
@@ -392,23 +402,46 @@ def test_huge_sparse_ids_do_not_allocate_up_to_the_largest_id():
 
 @pytest.mark.parametrize("weighted", [False, True])
 def test_queries_on_a_bulk_graph_build_no_rows(weighted):
-    # run_query plays the numpy round, which reads the arrays alone. The
-    # simulator, pagerank and serializing build the rows on first read, and
-    # get the line loop's answers from them.
+    # run_query plays the numpy round, which reads the arrays alone; the
+    # simulator and pagerank read the rows they reach through Graph.row,
+    # which slices them. Each gets the line loop's answers. Only
+    # serializing builds the rows.
     lines = serialize_edge_list(erdos_renyi_connected(1000, 6.0, random.Random(5))).splitlines()
     text = "".join(f"{line} {WEIGHTS[k % len(WEIGHTS)]}\n" if weighted else f"{line}\n" for k, line in enumerate(lines))
     fast, slow = bulk(parse_edge_list, text, False), loop(parse_edge_list, text, False)
+    held = set(vars(fast))
     configs = [
         DiffusionConfig(alpha=0.5, epsilon=1e-3, variant=variant, delta=1e-5, max_iterations=60) for variant in Variant
     ]
-    results = [run_query(fast, 17, cfg) for cfg in configs]
-    assert "targets" not in vars(fast)
-    for cfg, result in zip(configs, results):
-        assert repr(result) == repr(run_query(slow, 17, cfg))
+    for cfg in configs:
+        assert repr(run_query(fast, 17, cfg)) == repr(run_query(slow, 17, cfg))
         assert repr(run_distributed(fast, 17, cfg)) == repr(run_distributed(slow, 17, cfg))
     assert personalized_pagerank(fast, 17) == personalized_pagerank(slow, 17)
+    assert set(vars(fast)) == held and not held & {"targets", "_ratios"}
+    assert ("weights" in held) == weighted
     assert serialize_edge_list(fast) == serialize_edge_list(slow)
+    assert "_ratios" not in vars(fast)
     assert bits(fast) == bits(slow)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("directed", [False, True])
+def test_row_has_the_line_loop_bits_on_every_graph_kind(directed, weighted):
+    # Self-loops (3 3, 7 7), an id gap (5), which parse_edge_list keeps as
+    # a node without arcs, and rows of one arc, of uniform and of mixed
+    # weights, read before any row is built.
+    edges = ["0 1 2.5", "0 2 2.5", "0 3 0.1", "1 2 3.75", "2 3 1", "3 3 0.5", "4 0 1e-3", "6 7 7.5", "7 7 .25"]
+    text = "".join((line if weighted else line.rsplit(" ", 1)[0]) + "\n" for line in edges)
+    for parse in PARSERS:
+        fast, slow = bulk(parse, text, directed), loop(parse, text, directed)
+        if parse is parse_edge_list_relabeled:
+            (fast, _), (slow, _) = fast, slow
+        else:
+            assert fast.row(5) == slow.row(5) == ((), ())
+        assert fast.csr is not None and slow.csr is None
+        assert row_bits(fast) == row_bits(slow)
+        assert fast.row(3)[0] == ((3,) if directed else (0, 2, 3))
+        assert not {"targets", "_ratios"} & set(vars(fast))
 
 
 def test_a_100k_node_bulk_graph_holds_its_arrays_not_its_rows():

@@ -89,8 +89,7 @@ def reference_step(state: ChargeState, g, cfg: DiffusionConfig) -> ChargeState:
     inbox: dict[int, list[float]] = {}
     for j in sending:
         amount_total = split(x.get(j, 0.0))[1]
-        targets = g.targets[j]
-        ratios = g.out_ratios[j]
+        targets, ratios = g.row(j)
         for k in range(len(targets)):
             amount = amount_total * ratios[k]
             if amount != 0.0:
@@ -160,7 +159,7 @@ def test_uniform_rows_match_reference_round_bit_for_bit():
     w = [(0, 1, 2.5), (0, 2, 2.5), (0, 3, 2.5), (1, 0, 2.5), (1, 4, 1.0), (2, 4, 2.5),
          (3, 0, 0.5), (3, 1, 3.0), (3, 4, 2.25), (4, 1, 2.5), (4, 3, 2.5)]
     g = from_edges(w, directed=True)
-    assert [len(set(row)) == 1 for row in g.out_ratios] == [True, False, True, False, True]
+    assert [len(set(g.row(i)[1])) == 1 for i in range(g.node_count)] == [True, False, True, False, True]
     for cfg in (
         DiffusionConfig(alpha=0.4, epsilon=0.05),
         DiffusionConfig(alpha=0.4, epsilon=0.05, variant=Variant.EXCESS, delta=5e-4),
@@ -173,8 +172,8 @@ def test_uniform_rows_match_reference_round_bit_for_bit():
     one = tuple(float(s) for s in ("1.0",) * 3)
     assert one[0] is not one[1]
     g = Graph(4, True, ((1, 2, 3), (0, 2, 3), (0,), (1,)), ((1.0, 2.0, 1.0), one, (1.0,), (1.0,)))
-    assert g.out_ratios[0] == (0.25, 0.5, 0.25)
-    assert g.out_ratios[1] == (1 / 3,) * 3
+    assert g.row(0)[1] == (0.25, 0.5, 0.25)
+    assert g.row(1)[1] == (1 / 3,) * 3
     step_like_reference(g, DiffusionConfig(alpha=0.5, epsilon=0.05), {0: 0.6, 1: 0.4}, 6)
 
 
@@ -187,8 +186,8 @@ def test_distinct_weights_of_equal_ratios_match_reference_round():
     w = [(0, 1, 3.0), (0, 2, 3.0), (0, 3, 3.0), (0, 4, math.nextafter(3.0, 4.0)),
          (1, 0, 1.0), (1, 2, math.nextafter(1.0, 2.0))]
     g = from_edges(w, directed=True)
-    assert g.out_ratios[0] == (0.25,) * 4
-    assert g.out_ratios[1] == (0.49999999999999994, 0.5)
+    assert g.row(0)[1] == (0.25,) * 4
+    assert g.row(1)[1] == (0.49999999999999994, 0.5)
     with mock.patch.object(graph, "_BULK_MIN_LINES", 0):
         bulk = parse_edge_list("".join(f"{u} {v} {x!r}\n" for u, v, x in w), directed=True)
     assert bulk == g and bulk.csr is not None
