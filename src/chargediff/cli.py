@@ -9,7 +9,10 @@ Output is machine-readable JSON by default (``--format tsv`` for tabular
 text); identical invocations produce byte-identical output, and every report
 echoes the effective config. A config that the graph is too small for, say
 one whose run cannot terminate, prints ``warning:`` lines on stderr and lists
-them in the JSON ``warnings``, under every subcommand. Exit codes: 0
+them in the JSON ``warnings``, under every subcommand. The four
+subcommands check a config by one rule before any run, so a config that one
+rejects the others reject too, with the same ``error:`` line; ``bounds``
+alone also rejects ``lazy``, which has no bounds. Exit codes: 0
 success, 1 usage or config error, 2 I/O or parse error. A reader that closes
 stdout early (``| head``) ends the run with exit 2 and no message. Node ids
 in reports always use the input file's original labels; sparse labels are
@@ -33,10 +36,11 @@ import bisect
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from .diffusion import DiffusionConfig, Variant
-from .engine import ConfigError, QueryResult, compute_bounds, run_query, top_k, validate_config
-from .graph import EdgeListError, Graph, max_degree, parse_edge_list_relabeled
+from .engine import Bounds, ConfigError, QueryResult, check_config, run_query, top_k
+from .graph import EdgeListError, Graph, parse_edge_list_relabeled
 
 
 class _Parser(argparse.ArgumentParser):
@@ -105,24 +109,22 @@ def _dense_seed(args, labels: list[int]) -> int:
     return i
 
 
-def _prepare_query(args) -> tuple[Graph, list[int], DiffusionConfig, int, list[str]]:
-    """Load, configure and validate for a seeded subcommand; print the warnings.
+def _prepare(args) -> tuple[Graph, list[int], DiffusionConfig, int | None, list[str], Bounds | None]:
+    """Every subcommand's prologue: load, configure, find the seed, check; print the warnings.
 
-    Errors surface in the CLI's order: unreadable or malformed graph (exit 2),
-    then unknown seed, then out-of-range config (exit 1).
+    Returns the graph, its labels, the config, the dense seed (None for
+    ``bounds``, which takes none), and the warnings and bounds of
+    :func:`chargediff.engine.check_config`. Errors surface in the CLI's
+    order: unreadable or malformed graph (exit 2), then unknown seed, then
+    out-of-range config (exit 1), all before any run.
     """
     graph, labels = _load_graph(args)
     cfg = _make_config(args)
-    seed = _dense_seed(args, labels)
-    return graph, labels, cfg, seed, _warn(graph, cfg)
-
-
-def _warn(graph: Graph, cfg: DiffusionConfig) -> list[str]:
-    """Validate the config on the graph and print its warnings to stderr."""
-    warnings = validate_config(graph, cfg)
+    seed = _dense_seed(args, labels) if hasattr(args, "seed") else None
+    warnings, bounds = check_config(graph, cfg)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-    return warnings
+    return graph, labels, cfg, seed, warnings, bounds
 
 
 def _report(args, cfg: DiffusionConfig, body: dict, comments: list[str], table: list[str]) -> int:
@@ -180,7 +182,7 @@ def _check_k(k: int) -> None:
 
 
 def _cmd_knn(args) -> int:
-    graph, labels, cfg, seed, warnings = _prepare_query(args)
+    graph, labels, cfg, seed, warnings, _ = _prepare(args)
     _check_k(args.k)
     result = run_query(graph, seed, cfg)
     top = top_k(result, args.k, include_seed=args.include_seed)
@@ -201,9 +203,7 @@ def _cmd_simulate(args) -> int:
     # Imported here so that the other subcommands start without the simulator.
     from .distsim import message_complexity_report, run_distributed, total_messages
 
-    graph, labels, cfg, seed, warnings = _prepare_query(args)
-    # Before either run, so that a config without finite bounds plays none.
-    bounds = compute_bounds(graph, cfg) if cfg.epsilon > 0.0 else None
+    graph, labels, cfg, seed, warnings, bounds = _prepare(args)
     result, stats = run_distributed(graph, seed, cfg)
     match = run_query(graph, seed, cfg) == result
     fields = ("round", "messages", "active", "total_charge")
@@ -219,7 +219,7 @@ def _cmd_simulate(args) -> int:
         "result": _outcome(result, labels),
     }
     if bounds is not None:
-        body["complexity"] = message_complexity_report(stats, result, bounds, max_degree(graph))
+        body["complexity"] = message_complexity_report(stats, result, bounds, graph.max_degree)
     comments = []
     if graph.degrees[seed] == 0:
         body["note"] = "seed has no out-edges; nothing to simulate"
@@ -234,22 +234,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    graph, _ = _load_graph(args)
-    cfg = _make_config(args)
-    bounds = compute_bounds(graph, cfg)
-    # After compute_bounds, so that its config errors come first.
-    warnings = _warn(graph, cfg)
-    stats = {
-        "nodes": graph.node_count,
-        "edges": graph.edge_count,
-        "max_degree": max_degree(graph),
-    }
-    values = {
-        "max_core_size": bounds.max_core_size,
-        "max_touched": bounds.max_touched,
-        "max_iterations_bound": bounds.max_iterations_bound,
-        "excess_stop_bound": bounds.excess_stop_bound,
-    }
+    graph, _, cfg, _, warnings, bounds = _prepare(args)
+    if bounds is None:
+        raise ConfigError("bounds require epsilon > 0")
+    stats = {"nodes": graph.node_count, "edges": graph.edge_count, "max_degree": graph.max_degree}
+    values = asdict(bounds)
     table = ["quantity\tvalue"]
     table += [f"{key}\t{val!r}" for key, val in [*sorted(stats.items()), *values.items()]]
     return _report(args, cfg, {"warnings": warnings, "graph": stats, "bounds": values}, [], table)
@@ -259,7 +248,7 @@ def _cmd_compare(args) -> int:
     # Imported here so that the other subcommands start without the baseline.
     from . import baselines
 
-    graph, labels, cfg, seed, warnings = _prepare_query(args)
+    graph, labels, cfg, seed, warnings, _ = _prepare(args)
     _check_k(args.k)
     # Same check and message as personalized_pagerank, made before the query.
     if not 0.0 < args.teleport < 1.0:

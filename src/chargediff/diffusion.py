@@ -4,8 +4,10 @@ A query starts with unit charge on a seed node. Each round, every node whose
 charge exceeds the activity threshold gives away a fixed fraction of charge
 (or of its above-threshold excess, depending on the variant) split over its
 out-edges in proportion to edge weight; everyone else holds what they have.
-Total charge is conserved exactly, so only a bounded neighborhood of the seed
-can ever become active.
+Total charge is conserved up to rounding: a sender's kept and sent shares,
+and each receipt, round separately, so a round can create or destroy charge
+at the level of an ulp. Only a bounded neighborhood of the seed can ever
+become active.
 
 All rounds are fully synchronous: activity flags, send amounts, and receipts
 are all evaluated against the round-start state. Receipts fold into a node in
@@ -42,9 +44,10 @@ class DiffusionConfig:
     epsilon the strict activity threshold, delta the stopping threshold on
     total excess for the EXCESS variant, and max_iterations a hard safety cap.
     The ``lazy`` variant pins alpha = 1/2 and epsilon = 0 regardless of the
-    values passed in. Range checking lives in :func:`chargediff.engine.validate_config`
-    so that deliberately invalid configs can still be constructed and rejected
-    there.
+    values passed in. Range checking lives in :func:`chargediff.engine.check_config`,
+    which every run makes, so that deliberately invalid configs can still be
+    constructed and rejected there: delta must lie in (0, 1) under every
+    variant, though only EXCESS reads it.
     """
 
     alpha: float = 0.5

@@ -1,8 +1,9 @@
 """Query driver: runs a diffusion to termination and extracts neighbors.
 
-Also owns config validation against the termination preconditions and the
-closed-form size bounds (largest possible candidate set, touched-node count,
-and iteration counts) that the invariant tests check every run against.
+Also owns the one config check, :func:`check_config`, which every CLI
+subcommand and every run makes. It returns the config's warnings and its
+:class:`Bounds`: the largest candidate set, the most touched nodes and, under
+RETENTION, a round count, which the invariant tests check runs against.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .diffusion import (
     init_state,
     step,
 )
-from .graph import Graph, max_degree
+from .graph import Graph
 
 
 class ConfigError(ValueError):
@@ -89,64 +90,86 @@ class QueryResult:
 
 @dataclass(frozen=True)
 class Bounds:
-    """Closed-form worst-case sizes implied by a config and a graph."""
+    """Worst-case sizes of a run under a config on a graph, from :func:`check_config`.
+
+    With d_max the graph's largest out-degree:
+
+    - ``max_core_size``, floor(1/((1-alpha)*epsilon)), bounds the ever-active
+      set, ``nn_set``.
+    - ``max_touched``, max_core_size * (d_max + 1), bounds the nodes that hold
+      charge at the end. Charge moves only from a sender, an active node, to
+      its out-neighbours, and the seed is active at round 0, so every charged
+      node is ever-active or an out-neighbour of an ever-active sender: at
+      most len(nn_set) * (d_max + 1) nodes.
+    - ``max_iterations_bound``, (1 - (1-alpha)*epsilon) * d_max /
+      (alpha * (1-alpha) * epsilon**2), is the rounds to a ``quiescent``
+      stop under RETENTION. No proof of it is written; it held in every
+      run of the sweeps that checked it. It is None under EXCESS, whose
+      delta stop it does not bound (a 96-node path at alpha 0.5, epsilon
+      0.1, delta 1e-3 stops at round 774 against 760).
+    """
 
     max_core_size: int
     max_touched: int
-    max_iterations_bound: float
-    excess_stop_bound: float
+    max_iterations_bound: float | None
 
 
-def validate_config(g: Graph, cfg: DiffusionConfig) -> list[str]:
-    """Range-check a config and return termination warnings.
+def check_config(g: Graph, cfg: DiffusionConfig) -> tuple[list[str], Bounds | None]:
+    """Check a config against a graph; return its warnings and its bounds.
 
-    Out-of-range alpha, epsilon, delta, or max_iterations raise ConfigError.
-    Warnings (not errors) flag graphs small enough that the run provably
-    cannot terminate (n <= 1/epsilon) or that fall below the size
-    precondition n >= 1/((1-alpha) * epsilon) the candidate-set guarantees
-    assume.
+    Out of range, in this order, raises ConfigError: alpha outside (0, 1),
+    epsilon outside (0, 1) (not read by ``lazy``, which pins it to 0), delta
+    outside (0, 1), delta not below epsilon under EXCESS, max_iterations
+    below 1, and an alpha or epsilon so small that a bound is not finite.
+    The bounds are None under ``lazy``, whose epsilon is 0. Warnings (not
+    errors) flag graphs small enough that the run provably cannot terminate
+    (n <= 1/epsilon) or that fall below the size precondition n >=
+    1/((1-alpha) * epsilon) the candidate-set guarantees assume. It reads
+    the graph's node count and ``max_degree`` only, so it costs O(1).
     """
-    if not 0.0 < cfg.alpha < 1.0:
-        raise ConfigError(f"alpha must be in (0, 1), got {cfg.alpha}")
-    # DiffusionConfig pins a lazy walk's epsilon to 0, so only the other rules are checked.
-    if cfg.variant is not Variant.LAZY_WALK and not 0.0 < cfg.epsilon < 1.0:
-        raise ConfigError(f"epsilon must be in (0, 1), got {cfg.epsilon}")
-    if cfg.variant is Variant.EXCESS:
-        _check_delta(cfg)
-        if cfg.delta >= cfg.epsilon:
-            raise ConfigError(f"delta must be below epsilon, got delta={cfg.delta} epsilon={cfg.epsilon}")
+    alpha, eps = cfg.alpha, cfg.epsilon
+    if not 0.0 < alpha < 1.0:
+        raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
+    if cfg.variant is not Variant.LAZY_WALK and not 0.0 < eps < 1.0:
+        raise ConfigError(f"epsilon must be in (0, 1), got {eps}")
+    if not 0.0 < cfg.delta < 1.0:
+        raise ConfigError(f"delta must be in (0, 1), got {cfg.delta}")
+    if cfg.variant is Variant.EXCESS and cfg.delta >= eps:
+        raise ConfigError(f"delta must be below epsilon, got delta={cfg.delta} epsilon={eps}")
     if cfg.max_iterations < 1:
         raise ConfigError(f"max_iterations must be positive, got {cfg.max_iterations}")
+    if cfg.variant is Variant.LAZY_WALK:
+        return [], None
+
+    d_max = g.max_degree
+    iterations = None
+    try:
+        # The product underflows to 0 for a subnormal epsilon; floor(inf) overflows.
+        core_limit = 1.0 / ((1.0 - alpha) * eps)
+        # Decimal parameters often put the limit a few ulps under an integer;
+        # nudge before flooring so that the intended integer survives.
+        core = math.floor(core_limit + 1e-9)
+        if cfg.variant is Variant.RETENTION:
+            iterations = (1.0 - (1.0 - alpha) * eps) * d_max / (alpha * (1.0 - alpha) * eps * eps)
+            if not math.isfinite(iterations):
+                raise OverflowError
+    except (OverflowError, ZeroDivisionError):
+        raise ConfigError(f"alpha={alpha} and epsilon={eps} are too small for finite bounds") from None
 
     warnings = []
     n = g.node_count
-    if cfg.epsilon > 0.0:
-        if n <= 1.0 / cfg.epsilon:
-            warnings.append(
-                f"n={n} <= 1/epsilon={1.0 / cfg.epsilon:g}: some node always stays "
-                "above the threshold, so the run cannot terminate"
-            )
-        core = _core_limit(cfg)
-        if n < core:
-            warnings.append(
-                f"n={n} is below 1/((1-alpha)*epsilon)={core:g}, the size precondition "
-                "the candidate-set guarantees assume"
-            )
-    return warnings
-
-
-def _check_delta(cfg: DiffusionConfig) -> None:
-    if not 0.0 < cfg.delta < 1.0:
-        raise ConfigError(f"delta must be in (0, 1), got {cfg.delta}")
-
-
-def _core_limit(cfg: DiffusionConfig) -> float:
-    """1/((1-alpha)*epsilon), the bound on the candidate set before flooring.
-
-    inf where the product underflows to 0, as it does for a subnormal epsilon.
-    """
-    product = (1.0 - cfg.alpha) * cfg.epsilon
-    return 1.0 / product if product > 0.0 else math.inf
+    if n <= 1.0 / eps:
+        warnings.append(
+            f"n={n} <= 1/epsilon={1.0 / eps:g}: some node always stays "
+            "above the threshold, so the run cannot terminate"
+        )
+    if n < core_limit:
+        warnings.append(
+            f"n={n} is below 1/((1-alpha)*epsilon)={core_limit:g}, the size precondition "
+            "the candidate-set guarantees assume"
+        )
+    bounds = Bounds(max_core_size=core, max_touched=core * (d_max + 1), max_iterations_bound=iterations)
+    return warnings, bounds
 
 
 def should_stop(
@@ -215,7 +238,7 @@ def _run(
 ) -> QueryResult:
     """The run loop shared by :func:`run_query` and the message-passing simulator.
 
-    It validates the config, starts from unit charge on ``seed``, keeps the
+    It checks the config, starts from unit charge on ``seed``, keeps the
     excess trace, and before each round applies the stop predicate and then
     the iteration cap. The result's ``stop_reason`` is the reason
     :func:`should_stop` named, or ``"iteration_cap"``.
@@ -240,7 +263,7 @@ def _run(
     periodic capped run thus costs its settling rounds plus a period or two,
     not the cap.
     """
-    validate_config(g, cfg)
+    check_config(g, cfg)
     state = init_state(g, seed)
     trace = [] if cfg.variant is Variant.EXCESS else None
     saved, saved_t, reach = state.x, 0, 1
@@ -294,45 +317,3 @@ def top_k(result: QueryResult, k: int, include_seed: bool = False) -> list[int]:
         if len(picked) == k:
             break
     return picked
-
-
-def _floor_tol(value: float) -> int:
-    # Bound formulas like 1/((1-alpha)*epsilon) often sit a few ulps under an
-    # integer for decimal parameters; nudge before flooring so the intended
-    # integer survives.
-    return math.floor(value + 1e-9)
-
-
-def compute_bounds(g: Graph, cfg: DiffusionConfig) -> Bounds:
-    """Worst-case sizes for a terminating run under this config.
-
-    max_core_size bounds the ever-active set, max_touched the nodes that can
-    hold nonzero charge, max_iterations_bound the rounds to termination, and
-    excess_stop_bound the rounds for total excess to decay below delta under
-    a geometric alpha rate. The last reads delta under every variant, so a
-    delta outside (0, 1) raises ConfigError, as does a config so small that
-    a bound is not finite.
-    """
-    if cfg.epsilon <= 0.0:
-        raise ConfigError("bounds require epsilon > 0")
-    validate_config(g, cfg)
-    alpha, eps = cfg.alpha, cfg.epsilon
-    d_max = max_degree(g)
-    try:
-        core = _floor_tol(_core_limit(cfg))
-        touched = _floor_tol(d_max / (alpha * eps))
-        iter_bound = (1.0 - (1.0 - alpha) * eps) * d_max / (alpha * (1.0 - alpha) * eps * eps)
-        finite = math.isfinite(iter_bound)
-    except (OverflowError, ZeroDivisionError):
-        finite = False
-    if not finite:
-        raise ConfigError(f"alpha={alpha} and epsilon={eps} are too small for finite bounds")
-    _check_delta(cfg)
-    stop_bound = math.log(cfg.delta) / math.log(alpha)
-    return Bounds(
-        max_core_size=core,
-        max_touched=touched,
-        max_iterations_bound=iter_bound,
-        excess_stop_bound=stop_bound,
-    )
-

@@ -37,7 +37,9 @@ class Graph:
     ``targets[i]`` is the tuple of node ``i``'s out-neighbor ids, ascending,
     and ``weights[i][k]`` the weight of its arc to ``targets[i][k]``, as
     given. These four fields are the graph: equality, hashing and ``repr``
-    read them alone. ``degrees[i]`` is ``len(targets[i])``.
+    read them alone. ``degrees[i]`` is ``len(targets[i])``, and
+    ``max_degree`` the largest of them (0 without nodes), set once so that
+    a config check reads it in O(1).
 
     :meth:`row` is the one reader of a node's arcs outside this module: it
     returns the node's targets and ratios, where the ratio of an arc is its
@@ -71,11 +73,13 @@ class Graph:
     targets: tuple[tuple[int, ...], ...]
     weights: tuple[tuple[float, ...], ...]
     degrees: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    max_degree: int = field(init=False, compare=False, repr=False)
     _ratios: tuple[tuple[float, ...], ...] = field(init=False, compare=False, repr=False)
     csr: Csr | None = field(init=False, default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "degrees", tuple(map(len, self.targets)))
+        object.__setattr__(self, "max_degree", max(self.degrees, default=0))
         object.__setattr__(self, "_ratios", tuple(map(_ratio_row, self.weights)))
 
     @classmethod
@@ -94,6 +98,7 @@ class Graph:
         graph = object.__new__(cls)
         degree_list = degrees.tolist()
         fields = {"node_count": len(degree_list), "directed": directed, "degrees": tuple(degree_list)}
+        fields["max_degree"] = int(degrees.max()) if degree_list else 0
         ratios = None
         if weights is not None:
             fields["weights"] = tuple(_split_rows(weights.tolist(), degree_list))
@@ -473,8 +478,3 @@ def serialize_edge_list(g: Graph) -> str:
                 continue
             lines.append(f"{i} {j}" if w == 1.0 else f"{i} {j} {w!r}")
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def max_degree(g: Graph) -> int:
-    """Largest out-degree in the graph, 0 when there are no nodes."""
-    return max(g.degrees, default=0)

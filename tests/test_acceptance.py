@@ -25,7 +25,7 @@ from chargediff.diffusion import (
 from chargediff.distsim import RoundStats, run_distributed
 from chargediff.engine import (
     QueryResult,
-    compute_bounds,
+    check_config,
     run_query,
     should_stop,
     top_k,
@@ -182,7 +182,7 @@ def test_criterion_03_bound_suite(suite):
     for r in records:
         if r.cfg.variant is not Variant.RETENTION or not r.result.terminated:
             continue
-        bounds = compute_bounds(r.graph, r.cfg)
+        _, bounds = check_config(r.graph, r.cfg)
         assert len(r.result.nn_set) <= bounds.max_core_size, (r.cfg, r.seed)
         assert r.result.touched <= bounds.max_touched, (r.cfg, r.seed)
         assert r.result.iterations <= bounds.max_iterations_bound, (r.cfg, r.seed)

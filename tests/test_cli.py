@@ -295,8 +295,11 @@ def test_bounds_reference_values(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["graph"]["max_degree"] == 20
     assert doc["bounds"]["max_core_size"] == 200
-    assert doc["bounds"]["max_touched"] == 4000
+    assert doc["bounds"]["max_touched"] == 200 * 21
     assert doc["bounds"]["max_iterations_bound"] == pytest.approx(796000, rel=1e-9)
+    # EXCESS's delta stop has no iteration bound: it prints null.
+    _, out, _ = run_cli(capsys, "bounds", "--graph", str(path), "--epsilon", "0.01", "--variant", "excess")
+    assert json.loads(out)["bounds"] == {"max_core_size": 200, "max_touched": 4200, "max_iterations_bound": None}
 
 
 def test_bounds_high_alpha(capsys, star_file):
@@ -325,10 +328,6 @@ def test_bounds_zero_epsilon_exits_1(capsys, star_file):
     assert code == 1
 
 
-def reject_constant(name):
-    raise ValueError(f"not strict JSON: {name}")
-
-
 @pytest.mark.parametrize("command", ["knn", "simulate", "bounds", "compare"])
 @pytest.mark.parametrize(
     "option",
@@ -338,7 +337,7 @@ def reject_constant(name):
 )
 def test_tiny_in_range_parameters_end_without_a_traceback(triangle_file, command, option):
     # Each of these configs puts a bound beyond a float, or delta outside (0, 1),
-    # so the commands that report bounds end in an error line before any run.
+    # so every command ends in one error line before any run.
     seed = () if command == "bounds" else ("--seed", "0")
     proc = subprocess.run(
         [sys.executable, "-m", "chargediff", command, "--graph", triangle_file, *seed, *option,
@@ -346,16 +345,37 @@ def test_tiny_in_range_parameters_end_without_a_traceback(triangle_file, command
         capture_output=True, text=True, env=CHILD_ENV,
     )
     assert "Traceback" not in proc.stderr
-    assert proc.returncode in (0, 1)
-    if command in ("bounds", "simulate"):
-        assert proc.returncode == 1
-    if proc.returncode == 0:
-        json.loads(proc.stdout, parse_constant=reject_constant)
-    else:
-        assert proc.stderr.splitlines()[-1].startswith("error: ")
-        assert "iteration cap" not in proc.stderr
-    if command in ("bounds", "simulate") and option[0] == "--delta":
-        assert proc.stderr.splitlines()[-1] == f"error: delta must be in (0, 1), got {float(option[1])}"
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
+    if option[0] == "--delta":
+        assert proc.stderr == f"error: delta must be in (0, 1), got {float(option[1])}\n"
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        ("--epsilon", "1e-300"),
+        ("--epsilon", "5e-324"),
+        ("--alpha", "1e-310"),
+        ("--delta", "0"),
+        ("--delta", "2"),
+        ("--epsilon", "0"),
+        ("--max-iters", "0"),
+        ("--variant", "excess", "--epsilon", "0.1", "--delta", "0.1"),
+        ("--variant", "excess", "--epsilon", "0.1", "--delta", "0.5"),
+    ],
+    ids=" ".join,
+)
+def test_every_command_rejects_a_config_with_the_same_error_line(capsys, star_file, options):
+    outcomes = set()
+    for command in ("knn", "simulate", "bounds", "compare"):
+        seed = () if command == "bounds" else ("--seed", "0")
+        code, out, err = run_cli(capsys, command, "--graph", star_file, *seed, *options)
+        assert out == ""
+        outcomes.add((code, err))
+    [(code, err)] = outcomes
+    assert code == 1 and err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_compare_star(capsys, star_file):

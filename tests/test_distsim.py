@@ -6,14 +6,14 @@ import pytest
 
 from chargediff.diffusion import DiffusionConfig, Variant, emitters, init_state, step
 from chargediff.distsim import message_complexity_report, run_distributed, total_messages
-from chargediff.engine import compute_bounds, run_query, should_stop
+from chargediff.engine import check_config, run_query, should_stop
 from chargediff.generators import (
     erdos_renyi_connected,
     path_graph,
     preferential_attachment,
     star,
 )
-from chargediff.graph import from_edges, max_degree
+from chargediff.graph import from_edges
 from oracles import play
 
 STAR = star(10)
@@ -149,14 +149,14 @@ def test_distinct_recipients_within_touched_bound():
         for j in emitters(state, g, cfg):
             recipients.update(g.targets[j])
         state = step(state, g, cfg)
-    bounds = compute_bounds(g, cfg)
+    bounds = check_config(g, cfg)[1]
     assert len(recipients) <= bounds.max_touched
 
 
 def test_message_report_star():
     result, stats = run_distributed(STAR, 0, STAR_CFG)
-    bounds = compute_bounds(STAR, STAR_CFG)
-    report = message_complexity_report(stats, result, bounds, d_max=max_degree(STAR))
+    bounds = check_config(STAR, STAR_CFG)[1]
+    report = message_complexity_report(stats, result, bounds, d_max=STAR.max_degree)
     assert report == {
         "total_messages": 40,
         "peak_round_messages": 10,
@@ -172,7 +172,7 @@ def test_message_report_empty_stats():
     g = from_edges([], node_count=1)
     result, stats = run_distributed(g, 0, STAR_CFG)
     assert (result.iterations, stats) == (0, [])
-    report = message_complexity_report(stats, result, compute_bounds(STAR, STAR_CFG), d_max=10)
+    report = message_complexity_report(stats, result, check_config(STAR, STAR_CFG)[1], d_max=10)
     assert report["total_messages"] == 0
     assert report["peak_round_messages"] == 0
     assert report["message_bound"] == 0
@@ -181,8 +181,8 @@ def test_message_report_empty_stats():
 
 def test_message_report_names_each_bound_exceeded():
     result, stats = run_distributed(STAR, 0, STAR_CFG)
-    bounds = replace(compute_bounds(STAR, STAR_CFG), max_core_size=0, max_touched=5)
-    report = message_complexity_report(stats, result, bounds, d_max=max_degree(STAR))
+    bounds = replace(check_config(STAR, STAR_CFG)[1], max_core_size=0, max_touched=5)
+    report = message_complexity_report(stats, result, bounds, d_max=STAR.max_degree)
     assert result.touched == 11
     assert report["violations"] == [
         "messages 40 exceed rounds*d_max*max_core_size = 0",
@@ -190,7 +190,7 @@ def test_message_report_names_each_bound_exceeded():
     ]
     # One bound at a time names only that one.
     bounds = replace(bounds, max_touched=11)
-    report = message_complexity_report(stats, result, bounds, d_max=max_degree(STAR))
+    report = message_complexity_report(stats, result, bounds, d_max=STAR.max_degree)
     assert report["violations"] == ["messages 40 exceed rounds*d_max*max_core_size = 0"]
 
 
@@ -204,8 +204,8 @@ def test_message_report_of_a_repeating_run_counts_every_round():
     result, stats = run_distributed(g, 0, cfg)
     assert (result.cycle_start, result.period, len(stats)) == (127, 14, 141)
     played = play(g, 0, cfg)[4]
-    bounds = compute_bounds(g, cfg)
-    report = message_complexity_report(stats, result, bounds, d_max=max_degree(g))
+    bounds = check_config(g, cfg)[1]
+    report = message_complexity_report(stats, result, bounds, d_max=g.max_degree)
     assert report["total_messages"] == sum(row[1] for row in played)
     assert report["peak_round_messages"] == max(row[1] for row in played)
     assert report["message_bound"] == 1_003 * 2 * bounds.max_core_size

@@ -1,4 +1,4 @@
-import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,11 +9,10 @@ from chargediff.distsim import run_distributed
 from chargediff.engine import (
     ConfigError,
     build_result,
-    compute_bounds,
+    check_config,
     run_query,
     should_stop,
     top_k,
-    validate_config,
 )
 from chargediff.generators import complete_graph, path_graph, star
 from chargediff.graph import from_edges, serialize_edge_list
@@ -25,42 +24,53 @@ STAR_CFG = DiffusionConfig(alpha=0.5, epsilon=0.1)
 
 
 class TestValidateConfig:
+    """check_config's errors, in order, and its warnings."""
+
     def test_alpha_out_of_range(self):
         with pytest.raises(ConfigError, match="alpha"):
-            validate_config(STAR, DiffusionConfig(alpha=1.0, epsilon=0.1))
+            check_config(STAR, DiffusionConfig(alpha=1.0, epsilon=0.1))
         with pytest.raises(ConfigError, match="alpha"):
-            validate_config(STAR, DiffusionConfig(alpha=0.0, epsilon=0.1))
+            check_config(STAR, DiffusionConfig(alpha=0.0, epsilon=0.1))
 
     def test_epsilon_out_of_range(self):
         with pytest.raises(ConfigError, match="epsilon"):
-            validate_config(STAR, DiffusionConfig(alpha=0.5, epsilon=0.0))
+            check_config(STAR, DiffusionConfig(alpha=0.5, epsilon=0.0))
         with pytest.raises(ConfigError, match="epsilon"):
-            validate_config(STAR, DiffusionConfig(alpha=0.5, epsilon=1.0))
+            check_config(STAR, DiffusionConfig(alpha=0.5, epsilon=1.0))
 
     def test_delta_checked_for_excess_only(self):
+        # delta >= epsilon is an error under EXCESS alone, which reads delta.
         bad = DiffusionConfig(alpha=0.5, epsilon=0.1, variant=Variant.EXCESS, delta=0.2)
-        with pytest.raises(ConfigError, match="delta"):
-            validate_config(STAR, bad)
-        # Same delta is irrelevant for retention.
+        with pytest.raises(ConfigError, match="delta must be below epsilon"):
+            check_config(STAR, bad)
         ok = DiffusionConfig(alpha=0.5, epsilon=0.1, variant=Variant.RETENTION, delta=0.2)
-        validate_config(STAR, ok)
+        check_config(STAR, ok)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("delta", [0.0, 1.0, 2.0, -0.5])
+    def test_delta_outside_unit_interval_rejected_under_every_variant(self, variant, delta):
+        cfg = DiffusionConfig(alpha=0.5, epsilon=0.1, variant=variant, delta=delta)
+        with pytest.raises(ConfigError, match=r"delta must be in \(0, 1\)"):
+            check_config(STAR, cfg)
+        with pytest.raises(ConfigError, match=r"delta must be in \(0, 1\)"):
+            run_query(STAR, 0, cfg)
 
     def test_small_graph_warns_nontermination(self):
-        warnings = validate_config(complete_graph(3), DiffusionConfig(alpha=0.5, epsilon=0.2))
+        warnings, _ = check_config(complete_graph(3), DiffusionConfig(alpha=0.5, epsilon=0.2))
         assert any("cannot terminate" in w for w in warnings)
 
     def test_star_with_small_alpha_has_no_warnings(self):
         # n=11 > 1/epsilon=10 and 11 >= 1/((1-0.05)*0.1).
-        assert validate_config(STAR, DiffusionConfig(alpha=0.05, epsilon=0.1)) == []
+        assert check_config(STAR, DiffusionConfig(alpha=0.05, epsilon=0.1))[0] == []
 
     def test_precondition_warning_depends_on_alpha(self):
-        warnings = validate_config(STAR, STAR_CFG)
+        warnings, _ = check_config(STAR, STAR_CFG)
         assert len(warnings) == 1
         assert "precondition" in warnings[0]
 
     def test_max_iterations_positive(self):
         with pytest.raises(ConfigError, match="max_iterations"):
-            validate_config(STAR, DiffusionConfig(alpha=0.5, epsilon=0.1, max_iterations=0))
+            check_config(STAR, DiffusionConfig(alpha=0.5, epsilon=0.1, max_iterations=0))
 
 
 class TestRunQuery:
@@ -209,33 +219,51 @@ class TestTopK:
 class TestBounds:
     def test_reference_values(self):
         g = star(20)  # d_max = 20
-        b = compute_bounds(g, DiffusionConfig(alpha=0.5, epsilon=0.01))
+        _, b = check_config(g, DiffusionConfig(alpha=0.5, epsilon=0.01))
         assert b.max_core_size == 200
-        assert b.max_touched == 4000
+        assert b.max_touched == 200 * 21
         assert b.max_iterations_bound == pytest.approx(796000, rel=1e-9)
 
     def test_core_size_at_decimal_parameters(self):
-        b = compute_bounds(STAR, DiffusionConfig(alpha=0.5, epsilon=0.1))
-        assert b.max_core_size == 20
-        b = compute_bounds(STAR, DiffusionConfig(alpha=0.9, epsilon=0.1))
-        assert b.max_core_size == 100
-
-    def test_excess_stop_bound(self):
-        cfg = DiffusionConfig(alpha=0.5, epsilon=0.1, variant=Variant.EXCESS, delta=0.01)
-        b = compute_bounds(STAR, cfg)
-        assert b.excess_stop_bound == pytest.approx(math.log(0.01) / math.log(0.5))
-        assert b.excess_stop_bound == pytest.approx(6.64, abs=0.01)
+        assert check_config(STAR, DiffusionConfig(alpha=0.5, epsilon=0.1))[1].max_core_size == 20
+        assert check_config(STAR, DiffusionConfig(alpha=0.9, epsilon=0.1))[1].max_core_size == 100
 
     def test_all_positive_for_valid_config(self):
-        b = compute_bounds(STAR, STAR_CFG)
+        _, b = check_config(STAR, STAR_CFG)
         assert b.max_core_size > 0
         assert b.max_touched > 0
         assert b.max_iterations_bound > 0
-        assert b.excess_stop_bound > 0
 
-    def test_rejects_zero_epsilon(self):
-        with pytest.raises(ConfigError):
-            compute_bounds(STAR, DiffusionConfig(variant=Variant.LAZY_WALK))
+    def test_lazy_has_no_bounds(self):
+        assert check_config(STAR, DiffusionConfig(variant=Variant.LAZY_WALK)) == ([], None)
+
+    @pytest.mark.parametrize("alpha, touched", [(0.8, 17), (0.95, 46)])
+    def test_touched_bound_holds_on_a_directed_path(self, alpha, touched):
+        # d_max/(alpha*epsilon), 12 and 10 here, is not a bound: each node
+        # that the head of a path charges above epsilon sends on down it.
+        g = from_edges([(i, i + 1, 1.0) for i in range(399)], directed=True)
+        cfg = DiffusionConfig(alpha=alpha, epsilon=0.1)
+        result = run_query(g, 0, cfg)
+        _, b = check_config(g, cfg)
+        assert result.terminated and result.touched == touched
+        assert result.touched <= b.max_touched == b.max_core_size * 2
+
+    def test_no_iteration_bound_under_excess(self):
+        # The delta stop comes after the retention formula's 760 rounds.
+        g = path_graph(96)
+        cfg = DiffusionConfig(alpha=0.5, epsilon=0.1, variant=Variant.EXCESS, delta=1e-3)
+        result = run_query(g, 0, cfg)
+        assert (result.stop_reason, result.iterations) == ("excess_below_delta", 774)
+        retention = replace(cfg, variant=Variant.RETENTION)
+        assert check_config(g, retention)[1].max_iterations_bound == pytest.approx(760)
+        assert check_config(g, cfg)[1].max_iterations_bound is None
+
+    @pytest.mark.parametrize("variant", [Variant.RETENTION, Variant.EXCESS])
+    @pytest.mark.parametrize("epsilon", [1e-320, 1e-310])
+    def test_subnormal_epsilon_has_no_finite_bounds(self, variant, epsilon):
+        cfg = DiffusionConfig(alpha=0.5, epsilon=epsilon, variant=variant, delta=5e-324)
+        with pytest.raises(ConfigError, match="too small for finite bounds"):
+            check_config(STAR, cfg)
 
 
 class TestNeighborhoodChecks:

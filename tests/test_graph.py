@@ -15,7 +15,6 @@ from chargediff.graph import (
     Graph,
     _ratio_row,
     from_edges,
-    max_degree,
     parse_edge_list,
     parse_edge_list_relabeled,
     serialize_edge_list,
@@ -148,11 +147,11 @@ def test_serialize_round_trip(text, directed):
 
 
 def test_max_degree_cases():
-    assert max_degree(parse_edge_list("0 1\n1 2")) == 2
+    assert parse_edge_list("0 1\n1 2").max_degree == 2
     star = from_edges([(0, i, 1.0) for i in range(1, 11)])
-    assert max_degree(star) == 10
-    assert max_degree(parse_edge_list("0 1", directed=True)) == 1
-    assert max_degree(parse_edge_list("")) == 0
+    assert star.max_degree == 10
+    assert parse_edge_list("0 1", directed=True).max_degree == 1
+    assert parse_edge_list("").max_degree == 0
 
 
 def test_from_edges_range_check():

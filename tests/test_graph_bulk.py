@@ -61,6 +61,7 @@ def bits(g):
         g.directed,
         g.targets,
         g.degrees,
+        (type(g.max_degree), g.max_degree),
         row_bits(g),
         [[w.hex() for w in row] for row in g.weights],
     )

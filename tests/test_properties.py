@@ -15,7 +15,7 @@ from chargediff.diffusion import (
     step,
 )
 from chargediff.distsim import run_distributed
-from chargediff.engine import run_query, should_stop
+from chargediff.engine import check_config, run_query, should_stop
 from chargediff.graph import Graph, from_edges, parse_edge_list, serialize_edge_list
 
 SETTINGS = dict(max_examples=60, deadline=None)
@@ -377,6 +377,36 @@ def test_terminated_state_is_a_fixed_point_of_should_stop(g, cfg):
         if cfg.variant is Variant.RETENTION:
             after = step(state, g, cfg)
             assert after.x == state.x
+
+
+@st.composite
+def graphs_and_paths(draw):
+    """A small graph of ``graphs``, or a path of up to 100 nodes, directed or not."""
+    if draw(st.booleans()):
+        return draw(graphs())
+    n = draw(st.integers(min_value=2, max_value=100))
+    return from_edges([(i, i + 1, 1.0) for i in range(n - 1)], directed=draw(st.booleans()))
+
+
+@given(
+    g=graphs_and_paths(),
+    variant=st.sampled_from([Variant.RETENTION, Variant.EXCESS]),
+    alpha=st.floats(min_value=0.05, max_value=0.95),
+    epsilon=st.floats(min_value=0.02, max_value=0.5),
+    seed_frac=st.floats(0, 0.999),
+)
+@settings(max_examples=150, deadline=None)
+def test_every_bound_holds(g, variant, alpha, epsilon, seed_frac):
+    cfg = DiffusionConfig(
+        alpha=alpha, epsilon=epsilon, variant=variant, delta=epsilon / 100, max_iterations=2000
+    )
+    result = run_query(g, int(seed_frac * g.node_count), cfg)
+    _, bounds = check_config(g, cfg)
+    assert len(result.nn_set) <= bounds.max_core_size
+    assert result.touched <= bounds.max_touched
+    if bounds.max_iterations_bound is not None and result.terminated:
+        assert result.iterations <= bounds.max_iterations_bound
+    assert (bounds.max_iterations_bound is None) == (variant is Variant.EXCESS)
 
 
 def test_masses_survive_float_stress():

@@ -14,7 +14,7 @@ ROOT = Path(__file__).resolve().parent.parent
 CHILD_ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
 
 
-@pytest.mark.parametrize("script", ["locality_demo.py", "excess_decay.py", "ppr_sensitivity.py"])
+@pytest.mark.parametrize("script", ["locality_demo.py", "ppr_sensitivity.py"])
 def test_demo_script_runs(script):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script)],
