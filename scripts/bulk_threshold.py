@@ -28,8 +28,10 @@ import subprocess
 import sys
 import tempfile
 import time
+from pathlib import Path
 
-sys.path.insert(0, "src")
+SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
 
 from chargediff.generators import erdos_renyi_connected
 from chargediff.graph import serialize_edge_list
@@ -96,7 +98,7 @@ def main() -> int:
     parser.add_argument("--reps", type=int, default=10)
     parser.add_argument("--lines", default="20000,24000,28000,32000,36000,40000,48000")
     args = parser.parse_args()
-    env = {**os.environ, "PYTHONPATH": os.path.abspath("src")}
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
     counts = sorted(map(int, args.lines.split(",")))
     with tempfile.TemporaryDirectory() as tmp:
         points = {}

@@ -15,8 +15,9 @@ than the dense side.
 
 import random
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from chargediff.diffusion import DiffusionConfig
 from chargediff.engine import run_query

@@ -10,10 +10,11 @@ is untouched; pagerank renormalizes globally and its scores shift.
 
 import random
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from chargediff.baselines import overlap_at_k, personalized_pagerank, rank_nodes
+from chargediff.baselines import overlap_at_k, personalized_pagerank
 from chargediff.diffusion import DiffusionConfig
 from chargediff.engine import run_query, top_k
 from chargediff.graph import from_edges
@@ -45,9 +46,9 @@ def build(extra_in_b: int, rng: random.Random):
 def rankings(g):
     cfg = DiffusionConfig(alpha=0.5, epsilon=0.09)
     res = run_query(g, 0, cfg)
-    diff_top = top_k(res, K)
+    diff_top = top_k(res.final_charges, K, skip=0)
     ppr = personalized_pagerank(g, 0, teleport=0.2)
-    ppr_top = [i for i in rank_nodes(ppr) if i != 0][:K]
+    ppr_top = top_k(ppr, K, skip=0)
     return diff_top, ppr_top, res, ppr
 
 

@@ -1,18 +1,15 @@
-"""Ranking baselines for ``compare``: personalized pagerank and top-k overlap.
+"""Baselines for ``compare``: personalized pagerank and top-k overlap.
 
 Personalized pagerank is a plain power iteration in pure Python over the
 rows that :meth:`chargediff.graph.Graph.row` reads. It keeps only the nodes
 the walk has reached, and their rows for the call, so it needs no dense
 matrix and runs on graphs of any size; each round still reads every reached
-row, so on a connected graph it costs O(n) per round.
-The dense numpy oracles that the sparse code is checked against live with
-the tests.
+row, so on a connected graph it costs O(n) per round. ``engine.top_k`` ranks
+its scores. The dense numpy oracles that the sparse code is checked against
+live with the tests.
 """
 
 from __future__ import annotations
-
-from operator import itemgetter
-from typing import Mapping
 
 from .graph import Graph
 
@@ -71,18 +68,6 @@ def personalized_pagerank(
             return nxt
         pi = nxt
     raise RuntimeError(f"pagerank power iteration did not converge in {max_iterations} rounds")
-
-
-def rank_nodes(scores: Mapping[int, float]) -> list[int]:
-    """Node ids by score descending, ties broken by ascending id; zero scores dropped.
-
-    ``scores`` lists its nodes in ascending id order, as
-    :func:`personalized_pagerank` returns them. The sort is stable and
-    ``reverse=True`` keeps it stable, so equal scores stay in ascending id
-    order, as in :attr:`chargediff.engine.QueryResult.ranking`.
-    """
-    ranked = sorted(scores.items(), key=itemgetter(1), reverse=True)
-    return [i for i, score in ranked if score > 0.0]
 
 
 def overlap_at_k(a: list[int], b: list[int], k: int) -> float:

@@ -185,8 +185,8 @@ def _cmd_knn(args) -> int:
     graph, labels, cfg, seed, warnings, _ = _prepare(args)
     _check_k(args.k)
     result = run_query(graph, seed, cfg)
-    top = top_k(result, args.k, include_seed=args.include_seed)
     charges = result.final_charges
+    top = top_k(charges, args.k, skip=None if args.include_seed else seed)
     outcome = {
         **_outcome(result, labels),
         "top": [{"node": labels[node], "charge": charges[node]} for node in top],
@@ -253,17 +253,15 @@ def _cmd_compare(args) -> int:
     # Same check and message as personalized_pagerank, made before the query.
     if not 0.0 < args.teleport < 1.0:
         raise ConfigError(f"teleport must be in (0, 1), got {args.teleport}")
+    skip = None if args.include_seed else seed
     result = run_query(graph, seed, cfg)
-    diffusion_top = top_k(result, args.k, include_seed=args.include_seed)
+    diffusion_top = top_k(result.final_charges, args.k, skip)
 
     ppr_converged = True
     ppr_top: list[int] = []
     try:
         scores = baselines.personalized_pagerank(graph, seed, teleport=args.teleport)
-        ranked = baselines.rank_nodes(scores)
-        if not args.include_seed:
-            ranked = [i for i in ranked if i != seed]
-        ppr_top = ranked[: args.k]
+        ppr_top = top_k(scores, args.k, skip)
     except RuntimeError as exc:
         ppr_converged = False
         print(f"warning: {exc}", file=sys.stderr)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import islice
 from operator import itemgetter
 from typing import Callable, Mapping
 
@@ -41,10 +42,9 @@ class QueryResult:
     ``stop_reason`` says why the run loop ended: the reason
     :func:`should_stop` named (``"quiescent"``: no active node can
     transfer; ``"excess_below_delta"``: EXCESS only), or
-    ``"iteration_cap"``. Three facts follow from the stored ones and are
-    properties, not fields: ``terminated`` (the run stopped before the
-    cap), ``touched`` (the nodes of ``final_charges``) and ``ranking``
-    (sorted when read, at O(touched log touched) a read).
+    ``"iteration_cap"``. ``terminated`` (the run stopped before the cap)
+    and ``touched`` (the nodes of ``final_charges``) follow from the stored
+    fields and are properties; :func:`top_k` ranks ``final_charges``.
 
     When the charge vector repeated, ``cycle_start`` is the round whose
     vector came back and ``period`` the rounds it took; both are None when
@@ -74,18 +74,6 @@ class QueryResult:
     def touched(self) -> int:
         """How many nodes hold nonzero charge at the end."""
         return len(self.final_charges)
-
-    @property
-    def ranking(self) -> list[tuple[int, float]]:
-        """``(node, charge)`` pairs, charge descending, equal charges by ascending id.
-
-        Sorts the items of ``final_charges`` by charge alone with a C-level
-        key. Python's sort is stable, and ``reverse=True`` keeps it stable
-        (equal items stay in input order), so nodes of equal charge stay in
-        the ascending id order of ``final_charges``: the same ranking as a
-        sort on ``(-charge, id)``.
-        """
-        return sorted(self.final_charges.items(), key=itemgetter(1), reverse=True)
 
 
 @dataclass(frozen=True)
@@ -212,7 +200,7 @@ def build_result(
 
     ``final_charges`` is built in ascending id order, of plain ints and
     floats, whether ``x`` is a dict or :class:`chargediff.csr.Charges`;
-    :attr:`QueryResult.ranking` relies on that order for its ties.
+    :func:`top_k` relies on that order for its ties.
     """
     if isinstance(x, dict):
         final = {i: x[i] for i in sorted(x) if x[i] > 0.0}
@@ -302,18 +290,15 @@ def run_query(g: Graph, seed: int, cfg: DiffusionConfig) -> QueryResult:
     return _run(g, seed, cfg, lambda state: step(state, g, cfg))
 
 
-def top_k(result: QueryResult, k: int, include_seed: bool = False) -> list[int]:
-    """First k ranked node ids, optionally dropping the seed.
+def top_k(scores: Mapping[int, float], k: int, skip: int | None = None) -> list[int]:
+    """The ``k`` ids of highest positive score, less ``skip``; equal scores by ascending id.
 
-    Returns fewer than k ids when fewer nodes were touched.
+    ``scores`` lists its ids ascending, as ``final_charges`` and pagerank's
+    scores do. A stable sort on the score alone, which ``reverse=True``
+    keeps stable, leaves equal scores in that order, as a sort on
+    ``(-score, id)`` would. Fewer than ``k`` ids come back when fewer qualify.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    picked = []
-    for node, _ in result.ranking:
-        if not include_seed and node == result.seed:
-            continue
-        picked.append(node)
-        if len(picked) == k:
-            break
-    return picked
+    ranked = sorted(scores.items(), key=itemgetter(1), reverse=True)
+    return list(islice((i for i, score in ranked if score > 0.0 and i != skip), k))

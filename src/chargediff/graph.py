@@ -218,6 +218,8 @@ def _read_edges(text: str, directed: bool) -> tuple[list[tuple[int, int, float]]
     """The ``(u, v, w)`` edges of edge-list text in file order, and the ids they use.
 
     Raises EdgeListError with the offending line number on malformed input.
+    A data line must be ASCII without ``_``, since ``int()`` and ``float()``
+    also read other digits and ``1_000``, which the format does not have.
     """
     edges = []
     ids: set[int] = set()
@@ -227,7 +229,7 @@ def _read_edges(text: str, directed: bool) -> tuple[list[tuple[int, int, float]]
         if not line or line.startswith("#"):
             continue
         tokens = line.split()
-        if len(tokens) not in (2, 3):
+        if len(tokens) not in (2, 3) or not raw.isascii() or "_" in raw:
             raise EdgeListError(f"line {lineno}: expected 'u v' or 'u v w', got {raw!r}")
         try:
             u = int(tokens[0])
@@ -253,11 +255,12 @@ def _read_edges(text: str, directed: bool) -> tuple[list[tuple[int, int, float]]
 
 
 # Texts of fewer lines go to the line loop, so knn/simulate on small files
-# start without numpy. In a fresh knn process the numpy import costs
-# 0.18-0.26 s, which the bulk parse wins back near 26k-32k lines: between
-# 30k and 32k with 4-digit ids, between 26k and 28k with 10-digit ids (16
-# runs per point); a character count shifts by 2x between the two. Measured by
-# scripts/bulk_threshold.py (Python 3.11, numpy 2.4, 2-core VM).
+# start without numpy, whose import the bulk parse must win back. The latest
+# default run of scripts/bulk_threshold.py (10 reps; Python 3.11, numpy 2.4,
+# 2-core VM) put the break-even between 36k and 40k lines, with short and
+# with 10-digit ids: at 32k lines "loop - bulk" read -43.0/-32.8/-28.3 ms
+# (q1/median/q3) with short ids. The constant sits below the break-even
+# until a change of its own moves it, with a fresh run of the script.
 _BULK_MIN_LINES = 1 << 15
 
 

@@ -4,8 +4,9 @@ import random
 import numpy as np
 import pytest
 
-from chargediff.baselines import overlap_at_k, personalized_pagerank, rank_nodes
+from chargediff.baselines import overlap_at_k, personalized_pagerank
 from chargediff.diffusion import DiffusionConfig, Variant, init_state, step
+from chargediff.engine import top_k
 from chargediff.generators import complete_graph, erdos_renyi_connected, preferential_attachment, star
 from chargediff.graph import from_edges
 import oracles
@@ -183,7 +184,7 @@ def reweighted(g, rng):
 
 
 def dense_rank(scores):
-    # Coded apart from rank_nodes: a sort on (-score, id).
+    # Coded apart from engine.top_k: a sort on (-score, id).
     order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
     return [i for i in order if scores[i] > 0.0]
 
@@ -207,18 +208,13 @@ def test_ppr_matches_the_dense_oracle(teleport):
             dense = oracles.personalized_pagerank(g, seed, teleport=teleport)
             assert list(sparse) == sorted(sparse)
             assert max(abs(sparse.get(i, 0.0) - dense[i]) for i in range(g.node_count)) <= 1e-12
-            ranked, dense_ranked = rank_nodes(sparse), dense_rank(dense)
+            ranked, dense_ranked = top_k(sparse, len(sparse)), dense_rank(dense)
             assert len(ranked) == len(dense_ranked)
             # The dense matrix product sums in another order, so it can split
             # by an ulp two nodes that the sparse sums tie exactly (nodes 10 and
             # 28 of one PA graph here); the rankings may differ only there.
             for a, b in zip(ranked[:10], dense_ranked[:10]):
                 assert a == b or (sparse[a] == sparse[b] and math.isclose(dense[a], dense[b], rel_tol=1e-15))
-
-
-def test_rank_nodes_orders_and_drops_zeros():
-    scores = {0: 0.2, 1: 0.5, 2: 0.0, 3: 0.5}
-    assert rank_nodes(scores) == [1, 3, 0]
 
 
 def test_overlap_at_k():

@@ -1,7 +1,7 @@
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chargediff import engine
 from chargediff.diffusion import DiffusionConfig, Variant, init_state, step
@@ -81,10 +81,9 @@ class TestRunQuery:
         assert res.nn_set == [0]
         assert res.touched == 11
         assert res.final_charges[0] == 0.0625
-        leaves = [node for node, _ in res.ranking[:10]]
-        assert leaves == list(range(1, 11))
+        leaves = list(range(1, 11))
+        assert top_k(res.final_charges, 11) == [*leaves, 0]
         assert all(res.final_charges[leaf] == pytest.approx(0.09375, abs=1e-12) for leaf in leaves)
-        assert res.ranking[-1] == (0, 0.0625)
 
     def test_triangle_never_terminates(self):
         cfg = DiffusionConfig(alpha=0.5, epsilon=0.2, max_iterations=1000)
@@ -198,22 +197,22 @@ def test_lazy_walk_stops_once_its_charge_cannot_move(g, iterations, final):
 class TestTopK:
     def test_star_top3_excludes_seed(self):
         res = run_query(STAR, 0, STAR_CFG)
-        assert top_k(res, 3, include_seed=False) == [1, 2, 3]
+        assert top_k(res.final_charges, 3, skip=0) == [1, 2, 3]
 
     def test_k_larger_than_touched_returns_all(self):
         res = run_query(STAR, 0, STAR_CFG)
-        assert len(top_k(res, 99, include_seed=True)) == res.touched
+        assert len(top_k(res.final_charges, 99)) == res.touched
 
     def test_single_node_graph(self):
         g = from_edges([], node_count=1)
         res = run_query(g, 0, DiffusionConfig(alpha=0.5, epsilon=0.4))
-        assert top_k(res, 1, include_seed=True) == [0]
-        assert top_k(res, 1, include_seed=False) == []
+        assert top_k(res.final_charges, 1) == [0]
+        assert top_k(res.final_charges, 1, skip=0) == []
 
     def test_rejects_nonpositive_k(self):
         res = run_query(STAR, 0, STAR_CFG)
         with pytest.raises(ValueError, match="k"):
-            top_k(res, 0)
+            top_k(res.final_charges, 0)
 
 
 class TestBounds:
@@ -336,13 +335,13 @@ CHARGE_POOL = (0.0, 5e-324, 0.125, 0.1, 0.3, 0.25, 1.0)
 )
 @settings(max_examples=200, deadline=None)
 def test_build_result_ranks_like_the_charge_then_id_key(x):
-    # Keys arrive in random order and some hold 0.0; the ranking must equal
-    # the (-charge, id) sort it replaced, kept here as the reference.
+    # Keys arrive in random order and some hold 0.0; top_k over the final
+    # charges must equal the (-charge, id) sort, kept here as the reference.
     res = build_result(x, set(), 0, 1, "quiescent")
     reference = sorted(
         ((i, xi) for i, xi in x.items() if xi > 0.0), key=lambda kv: (-kv[1], kv[0])
     )
-    assert res.ranking == reference
+    assert top_k(res.final_charges, len(x) + 1) == [i for i, _ in reference]
     assert list(res.final_charges) == sorted(res.final_charges)
     assert 0.0 not in res.final_charges.values()
     assert res.final_charges == dict(reference)
@@ -371,18 +370,17 @@ def test_ranking_is_the_charge_then_id_sort_of_the_final_charges(name, variant):
     assert results[0] == results[1]
     for res in results:
         reference = sorted(res.final_charges.items(), key=lambda kv: (-kv[1], kv[0]))
-        assert res.ranking == reference
         charges = [xi for _, xi in reference]
         assert len(set(charges)) < len(charges)
-        for include_seed in (False, True):
-            ids = [i for i, _ in reference if include_seed or i != seed]
+        for skip in (seed, None):
+            ids = [i for i, _ in reference if i != skip]
             for k in range(1, res.touched + 2):
-                assert top_k(res, k, include_seed=include_seed) == ids[:k]
+                assert top_k(res.final_charges, k, skip) == ids[:k]
 
 
 def test_queries_leave_the_ranking_unsorted(monkeypatch):
     # The ranking's sort key is the only itemgetter in the engine: a query,
-    # on either round and in the simulator, must not call it.
+    # on either round and in the simulator, must not call it; top_k does.
     def no_sort(*args):
         raise AssertionError("the ranking was built")
 
@@ -392,4 +390,22 @@ def test_queries_leave_the_ranking_unsorted(monkeypatch):
     for res in results:
         assert res.touched == 11
         with pytest.raises(AssertionError, match="ranking was built"):
-            res.ranking
+            top_k(res.final_charges, 3)
+
+
+@given(
+    scores=st.lists(
+        st.tuples(st.integers(0, 40), st.sampled_from(CHARGE_POOL)),
+        unique_by=lambda kv: kv[0],
+        max_size=30,
+    ).map(lambda items: dict(sorted(items))),
+    k=st.integers(1, 35),
+    skip=st.one_of(st.none(), st.integers(0, 40)),
+)
+@example(scores={0: 0.2, 1: 0.5, 2: 0.0, 3: 0.5}, k=3, skip=None)
+@settings(max_examples=200, deadline=None)
+def test_top_k_is_the_score_then_id_sort(scores, k, skip):
+    # Any map in ascending id order, zero scores included: the (-score, id)
+    # sort, coded apart, less the scores that are not positive and skip.
+    reference = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
+    assert top_k(scores, k, skip) == [i for i, s in reference if s > 0.0 and i != skip][:k]

@@ -91,6 +91,16 @@ def test_negative_and_fractional_ids_rejected():
         parse_edge_list("0.5 1")
 
 
+@pytest.mark.parametrize("line", ["1_000 5", "4 \u0665", "\uff10 \uff11", "0 1 1_0"])
+def test_underscores_and_non_ascii_digits_rejected(line):
+    # int() and float() read each of these lines (as 1000 5, 4 5, 0 1 and
+    # 0 1 10.0); the format does not. A comment may still hold any text, and
+    # a leading '+' on an id still parses.
+    with pytest.raises(EdgeListError, match=f"line 2: expected 'u v' or 'u v w', got '{line}'"):
+        parse_edge_list_relabeled(f"# caf\u00e9\n{line}\n")
+    assert parse_edge_list_relabeled("# caf\u00e9\n+3 5\n")[1] == [3, 5]
+
+
 def test_comments_and_blank_lines_skipped():
     g = parse_edge_list("# a comment\n\n0 1\n   \n# another\n1 2\n")
     assert g.node_count == 3

@@ -263,6 +263,10 @@ ANOMALIES = {
     "trailing junk in a token": with_line(UNWEIGHTED, 7000, "4 5x"),
     "trailing junk line": "\n".join(UNWEIGHTED) + "\n12 x",
     "non-ascii": with_line(UNWEIGHTED, 7000, "4 ٥"),
+    # int() and float() read these as 3 20000 and 3 20000 10.0; the format does not.
+    "underscore id": with_line(UNWEIGHTED, 7000, "3 20_000"),
+    "full-width digits": with_line(UNWEIGHTED, 7000, "\uff13 \uff12\uff10\uff10\uff10\uff10"),
+    "underscore weight": with_line(WEIGHTED, 7000, "3 20000 1_0"),
     "form feed": with_line(UNWEIGHTED, 7000, "4\x0c20000"),
     "lone carriage return": with_line(UNWEIGHTED, 7000, "4\r20000"),
     "id above 2**53": with_line(UNWEIGHTED, 7000, f"4 {2**53 + 1}") + "4 5\n",

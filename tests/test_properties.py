@@ -409,6 +409,108 @@ def test_every_bound_holds(g, variant, alpha, epsilon, seed_frac):
     assert (bounds.max_iterations_bound is None) == (variant is Variant.EXCESS)
 
 
+SPELLED_WEIGHTS = ("1", "2", "0.5", "0.1", "3.75", repr(1 / 3))
+
+
+@st.composite
+def edge_maps(draw):
+    """``(edges, directed, weighted)``: ``{(u, v): weight as spelled}`` of a small graph, u <= v if undirected."""
+    directed, weighted = draw(st.booleans()), draw(st.booleans())
+    n = draw(st.integers(min_value=4, max_value=24))
+    pool = [(u, v) for u in range(n) for v in range(n) if directed or u <= v]
+    chosen = draw(st.lists(st.sampled_from(pool), unique=True, min_size=1, max_size=3 * n))
+    spelling = st.sampled_from(SPELLED_WEIGHTS) if weighted else st.just("1")
+    return {arc: draw(spelling) for arc in chosen}, directed, weighted
+
+
+@st.composite
+def edits_outside(draw, edges, directed, weighted, inside):
+    """``edges`` after 1 to 5 additions, removals or (if weighted) reweightings of edges outside ``inside``.
+
+    An edited edge has no endpoint in ``inside``; an addition may also use
+    the ids just above the graph's, so it can add nodes.
+    """
+    edges = dict(edges)
+    top = max(max(arc) for arc in edges)
+    outside = [i for i in range(top + 4) if i not in inside]
+    kinds = ["add", "remove", "reweight"] if weighted else ["add", "remove"]
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "add":
+            u, v = draw(st.sampled_from(outside)), draw(st.sampled_from(outside))
+            arc = (u, v) if directed else (min(u, v), max(u, v))
+            edges.setdefault(arc, draw(st.sampled_from(SPELLED_WEIGHTS)) if weighted else "1")
+            continue
+        free = sorted(arc for arc in edges if not inside.intersection(arc))
+        if not free:
+            continue
+        arc = draw(st.sampled_from(free))
+        if kind == "remove":
+            del edges[arc]
+        else:
+            edges[arc] = draw(st.sampled_from([w for w in SPELLED_WEIGHTS if w != edges[arc]]))
+    return edges
+
+
+def both_rounds(edges, directed, weighted):
+    """``(dict_graph, numpy_graph)``: ``edges`` through ``from_edges``, and their text bulk-parsed."""
+    text = "".join(f"{u} {v} {w}\n" if weighted else f"{u} {v}\n" for (u, v), w in sorted(edges.items()))
+    with mock.patch.object(graph, "_BULK_MIN_LINES", 0):
+        bulk = parse_edge_list(text, directed=directed)
+    assert bulk.csr is not None
+    return from_edges([(u, v, float(w)) for (u, v), w in edges.items()], directed=directed), bulk
+
+
+def run_bits(g, seed, cfg):
+    """What ``run_query`` and ``run_distributed`` return from ``seed``, floats as hex, with the simulator's rows."""
+    bits = []
+    for result, rows in [(run_query(g, seed, cfg), []), run_distributed(g, seed, cfg)]:
+        trace = result.excess_trace
+        bits.append((
+            [(i, x.hex()) for i, x in result.final_charges.items()],
+            result.nn_set,
+            result.iterations,
+            result.stop_reason,
+            result.cycle_start,
+            result.period,
+            None if trace is None else [e.hex() for e in trace],
+            [(r.messages_sent, r.active_count, r.total_charge.hex()) for r in rows],
+        ))
+    return bits
+
+
+@given(
+    case=edge_maps(),
+    alpha=st.floats(min_value=0.05, max_value=0.95),
+    epsilon=st.floats(min_value=0.02, max_value=0.5),
+    data=st.data(),
+)
+@settings(**SETTINGS)
+def test_edits_outside_the_nn_set_change_no_run(case, alpha, epsilon, data):
+    """An edit to arcs whose endpoints all lie outside a run's ``nn_set`` changes nothing in that run.
+
+    Charge moves only along the rows of senders, and every sender is
+    ever-active, so a run reads no row of a node outside its ``nn_set``.
+    Checked under every variant (``lazy`` capped), on the dict round of a
+    ``from_edges`` graph and the numpy round of its text bulk-parsed, in
+    ``run_query`` and ``run_distributed``: every result field, the excess
+    trace and the simulator's round rows, bit for bit. The warnings and
+    :class:`~chargediff.engine.Bounds` of ``check_config`` are left out:
+    they read the graph's node count and ``max_degree``, which such an edit
+    may change, and are not results of the run.
+    """
+    edges, directed, weighted = case
+    seed = data.draw(st.sampled_from(sorted({i for arc in edges for i in arc})), label="seed")
+    base = both_rounds(edges, directed, weighted)
+    for variant in Variant:
+        cap = 30 if variant is Variant.LAZY_WALK else 300
+        cfg = DiffusionConfig(alpha=alpha, epsilon=epsilon, variant=variant, delta=epsilon / 100, max_iterations=cap)
+        inside = set(run_query(base[0], seed, cfg).nn_set)
+        edited = data.draw(edits_outside(edges, directed, weighted, inside), label=variant.value)
+        for before, after in zip(base, both_rounds(edited, directed, weighted)):
+            assert run_bits(after, seed, cfg) == run_bits(before, seed, cfg)
+
+
 def test_masses_survive_float_stress():
     # Long run on an irregular graph; drift must stay at rounding scale.
     g = from_edges(

@@ -11,14 +11,16 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-CHILD_ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
 
 
 @pytest.mark.parametrize("script", ["locality_demo.py", "ppr_sensitivity.py"])
-def test_demo_script_runs(script):
+def test_demo_script_runs(script, tmp_path):
+    # From a directory other than the checkout, with no PYTHONPATH: the
+    # script finds the package from its own path.
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script)],
-        capture_output=True, text=True, env=CHILD_ENV, cwd=ROOT, timeout=120,
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
