@@ -64,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--delta", type=float, default=None, help="default epsilon/100")
         p.add_argument("--variant", choices=sorted(v.value for v in Variant), default="retention")
         p.add_argument("--k", type=int, default=10)
-        p.add_argument("--max-iters", type=int, default=1_000_000)
+        p.add_argument("--max-iters", type=int, default=1_000_000, dest="max_iterations")
         p.add_argument("--include-seed", action="store_true")
         p.add_argument("--format", choices=["json", "tsv"], default="json")
 
@@ -97,7 +97,7 @@ def _make_config(args) -> DiffusionConfig:
         epsilon=args.epsilon,
         variant=Variant(args.variant),
         delta=delta,
-        max_iterations=args.max_iters,
+        max_iterations=args.max_iterations,
     )
 
 
@@ -130,25 +130,13 @@ def _prepare(args) -> tuple[Graph, list[int], DiffusionConfig, int | None, list[
 def _report(args, cfg: DiffusionConfig, body: dict, comments: list[str], table: list[str]) -> int:
     """Print a subcommand's report with its config echo; return exit code 0.
 
+    The config echo is every parsed option but the subcommand, with the
+    config's effective ``alpha``, ``epsilon``, ``delta`` and ``variant``.
     JSON prints ``{"command", "config", **body}``; TSV prints the config as
     ``# key=value`` lines, then ``comments`` and the ``table`` lines.
     """
-    echo = {
-        "graph": args.graph,
-        "directed": args.directed,
-        "alpha": cfg.alpha,
-        "epsilon": cfg.epsilon,
-        "delta": cfg.delta,
-        "variant": cfg.variant.value,
-        "k": args.k,
-        "max_iterations": cfg.max_iterations,
-        "include_seed": args.include_seed,
-        "format": args.format,
-    }
-    if hasattr(args, "seed"):
-        echo["seed"] = args.seed
-    if hasattr(args, "teleport"):
-        echo["teleport"] = args.teleport
+    echo = {key: val for key, val in vars(args).items() if key != "command"}
+    echo.update(alpha=cfg.alpha, epsilon=cfg.epsilon, delta=cfg.delta, variant=cfg.variant.value)
     if args.format == "json":
         _emit_json({"command": args.command, "config": echo, **body})
     else:
@@ -250,13 +238,7 @@ def _cmd_compare(args) -> int:
 
     graph, labels, cfg, seed, warnings, _ = _prepare(args)
     _check_k(args.k)
-    # Same check and message as personalized_pagerank, made before the query.
-    if not 0.0 < args.teleport < 1.0:
-        raise ConfigError(f"teleport must be in (0, 1), got {args.teleport}")
     skip = None if args.include_seed else seed
-    result = run_query(graph, seed, cfg)
-    diffusion_top = top_k(result.final_charges, args.k, skip)
-
     ppr_converged = True
     ppr_top: list[int] = []
     try:
@@ -265,6 +247,8 @@ def _cmd_compare(args) -> int:
     except RuntimeError as exc:
         ppr_converged = False
         print(f"warning: {exc}", file=sys.stderr)
+    result = run_query(graph, seed, cfg)
+    diffusion_top = top_k(result.final_charges, args.k, skip)
 
     effective_k = min(args.k, len(diffusion_top), len(ppr_top))
     overlap = (
@@ -283,7 +267,7 @@ def _cmd_compare(args) -> int:
         "touched": result.touched,
     }
     comments = [f"# overlap={overlap!r}"]
-    if effective_k < args.k:
+    if overlap is not None and effective_k < args.k:
         body["note"] = f"k={args.k} exceeds available ranks; overlap computed at k={effective_k}"
         comments.append(f"# note={body['note']}")
     table = ["rank\tdiffusion\tpagerank"]
@@ -324,7 +308,7 @@ def main(argv: list[str] | None = None) -> int:
     except EdgeListError as exc:
         print(f"error: bad edge list: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

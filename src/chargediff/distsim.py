@@ -4,10 +4,12 @@ Every node knows only its own charge and its out-edge list, the targets and
 ratios that :meth:`chargediff.graph.Graph.row` reads for it; on a bulk-parsed
 graph that is a slice of its arrays, so the simulator builds no rows. A
 round has two phases. In phase 1 each transmitting node splits its
-round-start charge once and mails ``(sender, amount)`` along each out-edge
-into the round's inbox. In phase 2, behind a barrier, each node that sent
-or received mail folds its inbox, sorted by sender id, into the charge it
-kept; every other node keeps its charge untouched. An omniscient
+round-start charge once, keeps one share and mails ``(sender, amount)``
+along each out-edge into the round's inbox. In phase 2, behind a barrier,
+each node that sent or received mail folds its inbox, sorted by sender id,
+into the charge it kept; every other node keeps its charge untouched. After
+the fold the round sums the charge vector once, in ascending id order; that
+sum is the round's ``total_charge`` and its conservation check. An omniscient
 coordinator, the centralized engine's own run loop, holds the charge vector
 and applies the stop predicate before each round, so iteration counts and
 every float in the final charge vector match
@@ -52,8 +54,10 @@ def run_distributed(
     charge.
 
     Only the nodes that send or receive mail are folded, so a round costs
-    O(emitters * degree + touched), independent of graph size; the
-    conservation check and the total charge still walk the charged nodes.
+    O(emitters * degree + touched), independent of graph size. The round's
+    one walk over the charged nodes is its ``total_charge``, summed after the
+    fold; a total more than 1e-9 from 1 raises RuntimeError, so every fold,
+    the last round's included, is checked for leaked charge.
 
     A capped run whose charge vector repeats is cut short by the shared run
     loop (see :func:`chargediff.engine._run`), and its rows end at the
@@ -67,36 +71,27 @@ def run_distributed(
     def advance(state: ChargeState) -> ChargeState:
         x = state.x
         # Phase 1: emissions, all computed from the round-start charges. Each
-        # sender splits once and keeps ``kept[j]``; ``inbox`` has a mailbox
-        # for every node that sends or receives, in the order first touched.
-        kept: dict[int, float] = {}
+        # sender splits once and writes the share it keeps into ``new_x``;
+        # ``inbox`` has a mailbox for every node that sends or receives, in
+        # the order first touched.
+        new_x = dict(x)
         inbox: dict[int, list[tuple[int, float]]] = {}
         messages = 0
-        in_flight = 0.0
         for j in emitters(state, g, cfg):
-            kept[j], sent = split(x[j])
+            new_x[j], sent = split(x[j])
             inbox.setdefault(j, [])
             targets, ratios = g.row(j)
             for target, ratio in zip(targets, ratios):
-                amount = sent * ratio
-                inbox.setdefault(target, []).append((j, amount))
-                in_flight += amount
+                inbox.setdefault(target, []).append((j, sent * ratio))
             messages += len(targets)
 
-        held = sum(kept.get(i, xi) for i, xi in x.items())
-        if abs(held + in_flight - 1.0) > 1e-9:
-            raise RuntimeError(
-                f"charge leak at round {state.t + 1}: held={held!r} in_flight={in_flight!r}"
-            )
-
-        # Phase 2: barrier, then order-fixed inbox folds. A node left without
-        # charge is dropped; every folded node above epsilon goes to
-        # ``advance``, which takes the next frontier from them and the
-        # round-start one.
-        new_x = dict(x)
+        # Phase 2: barrier, then order-fixed inbox folds onto the charge each
+        # node kept. A node left without charge is dropped; every folded node
+        # above epsilon goes to ``advance``, which takes the next frontier
+        # from them and the round-start one.
         above = []
         for i, mail in inbox.items():
-            charge = kept.get(i, x.get(i, 0.0))
+            charge = new_x.get(i, 0.0)
             for _, amount in sorted(mail):
                 charge += amount
             if charge == 0.0:
@@ -105,14 +100,11 @@ def run_distributed(
                 new_x[i] = charge
                 if charge > eps:
                     above.append(i)
-        stats.append(
-            RoundStats(
-                messages_sent=messages,
-                active_count=len(state.active(eps)),
-                # Ascending ids, so the float does not depend on dict order.
-                total_charge=sum(new_x[i] for i in sorted(new_x)),
-            )
-        )
+        # Ascending ids, so the float does not depend on dict order.
+        total = sum(new_x[i] for i in sorted(new_x))
+        if abs(total - 1.0) > 1e-9:
+            raise RuntimeError(f"charge leak at round {state.t + 1}: total_charge={total!r}")
+        stats.append(RoundStats(messages, len(state.active(eps)), total))
         return state.advance(new_x, eps, above)
 
     result = _run(g, seed, cfg, advance)

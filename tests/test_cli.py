@@ -402,6 +402,25 @@ def test_compare_notes_when_k_exceeds_touched(capsys, star_file):
     assert "exceeds available" in doc["note"]
 
 
+@pytest.mark.parametrize(
+    "options",
+    [
+        # Pagerank does not converge, so it ranks no node.
+        ("--seed", "0", "--teleport", "1e-9"),
+        # The seed has no out-edges, so the diffusion ranks no node.
+        ("--directed", "--seed", "1"),
+    ],
+)
+def test_compare_notes_no_overlap_it_did_not_compute(capsys, tmp_path, options):
+    path = tmp_path / "arc.edges"
+    path.write_text("0 1\n")
+    code, out, _ = run_cli(capsys, "compare", "--graph", str(path), *options)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["overlap"] is None
+    assert "note" not in doc
+
+
 def test_compare_two_clique_locality(capsys, tmp_path):
     lines = []
     for base in (0, 10):

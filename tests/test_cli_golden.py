@@ -72,6 +72,10 @@ EDGE_CASES = {
         "compare", "--graph", "star.edges", "--seed", "0", "--epsilon", "0.1", "--k", "20",
         "--format", "tsv",
     ),
+    "compare-ppr-no-convergence": (
+        "compare", "--graph", "arc.edges", "--seed", "0", "--teleport", "1e-9",
+    ),
+    "compare-stuck-seed": ("compare", "--graph", "arc.edges", "--directed", "--seed", "1"),
     "bounds-zero-epsilon": ("bounds", "--graph", "star.edges", "--epsilon", "0"),
     "bounds-tiny-alpha": ("bounds", "--graph", "triangle.edges", "--alpha", "1e-310"),
     "bounds-delta-2": ("bounds", "--graph", "triangle.edges", "--delta", "2"),

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from chargediff import distsim
 from chargediff.diffusion import DiffusionConfig, Variant, emitters, init_state, step
 from chargediff.distsim import message_complexity_report, run_distributed, total_messages
 from chargediff.engine import check_config, run_query, should_stop, top_k
@@ -80,6 +81,30 @@ def test_per_round_conservation():
     assert stats, "run should take at least one round"
     for s in stats:
         assert abs(s.total_charge - 1.0) <= 1e-12
+
+
+def test_a_receipt_dropped_from_the_last_fold_raises(monkeypatch):
+    # On the triangle from node 0, round 1 mails one message to each of nodes
+    # 1 and 2; in round 2 node 0 gets two, one from each. Dropping the last
+    # message of every mailbox of two or more loses charge in round 2's fold
+    # alone, the run's last round.
+    def drop_last(items):
+        out = sorted(items)
+        if len(out) >= 2 and all(isinstance(item, tuple) for item in out):
+            del out[-1]
+        return out
+
+    monkeypatch.setattr(distsim, "sorted", drop_last, raising=False)
+    g = from_edges([(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)])
+    with pytest.raises(RuntimeError, match="charge leak at round 2"):
+        run_distributed(g, 0, DiffusionConfig(max_iterations=2))
+
+
+def test_a_split_that_loses_charge_raises(monkeypatch):
+    # Each sender keeps half its charge and sends a quarter.
+    monkeypatch.setattr(distsim, "splitter", lambda cfg: lambda held: (held / 2, held / 4))
+    with pytest.raises(RuntimeError, match="charge leak at round 1"):
+        run_distributed(STAR, 0, STAR_CFG)
 
 
 def test_messages_bounded_by_arc_count():
